@@ -6,45 +6,37 @@ let compile_default = ref true
 let set_compile_default b = compile_default := b
 let compile_default_enabled () = !compile_default
 
+(* One field set, specialized once per engine. *)
+type hasher =
+  | Fields of Field_set.t * (Packet.Field.t * int) array
+      (* compiled engine, whole byte-aligned fields: [(field, nbytes)] in
+         input order, each field's value XOR-ed through the key's tables
+         straight from [Pkt.field_int] — no Bitvec, no closure, no option *)
+  | Bits of Field_set.t
+      (* sliced sets and reference engines: serialize the input through
+         [Field_set.hash_input]; the property tests' oracle *)
+
 type t = {
   nic : Model.t;
   key : Bitvec.t;
-  ckey : Toeplitz.Key.t Lazy.t;
+  ckey : Toeplitz.Key.t option Atomic.t;
+      (* compiled on first hash, so engines configured but never used for
+         software dispatch pay nothing; shared by {!with_reta} copies.  Not
+         a [Lazy.t]: forcing one costs a C call per packet, and forcing it
+         from two domains at once raises, where two racing compiles of the
+         same key are merely redundant *)
   compiled : bool;
   sets : Field_set.t list;
-  hashers : (Packet.Pkt.t -> int option) list Lazy.t;
-      (* one per field set, in order; each returns the hash when the set
-         matches the packet.  Built lazily so engines configured but never
-         used for software dispatch pay nothing. *)
+  hashers : hasher array;  (* one per field set, in order *)
   reta : Reta.t;
 }
 
-(* Per-set hasher.  Compiled engines with a byte-aligned field set take the
-   allocation-free path: field bytes feed the Toeplitz tables directly,
-   skipping the per-packet Bitvec serialization of [Field_set.hash_input]
-   (which dominated software dispatch cost).  Sliced sets and reference
-   (uncompiled) engines keep the Bitvec path, which the property tests use
-   as the oracle. *)
-let hasher ~compiled ~key ~ckey s =
-  match if compiled then Field_set.byte_plan s else None with
-  | Some plan ->
-      let ck = Lazy.force ckey in
-      let nbytes = Array.length plan in
-      fun p ->
-        if Field_set.matches s p then
-          Some
-            (Toeplitz.Key.hash_bytes_int ck ~nbytes (fun i ->
-                 let f, shift = Array.unsafe_get plan i in
-                 Packet.Pkt.field_int p f lsr (8 * shift)))
-        else None
-  | None -> (
-      fun p ->
-        match Field_set.hash_input s p with
-        | Some d ->
-            Some
-              (if compiled then Toeplitz.Key.hash_int (Lazy.force ckey) d
-               else Toeplitz.hash_int ~key d)
-        | None -> None)
+(* Every hashable header field is a whole number of bytes wide, so an
+   unsliced set is byte-aligned field by field. *)
+let hasher ~compiled s =
+  if compiled && not (Field_set.is_sliced s) then
+    Fields (s, Array.of_list (List.map (fun (f, bits) -> (f, bits / 8)) (Field_set.slices s)))
+  else Bits s
 
 let configure ?(nic = Model.E810) ?reta ?compiled ~key ~sets ~queues () =
   if Bitvec.length key <> 8 * Model.key_bytes nic then
@@ -67,28 +59,66 @@ let configure ?(nic = Model.E810) ?reta ?compiled ~key ~sets ~queues () =
     | None -> Reta.create ~size:(Model.reta_size nic) ~queues ()
   in
   let compiled = Option.value ~default:!compile_default compiled in
-  let ckey = lazy (Toeplitz.Key.compile key) in
-  let hashers = lazy (List.map (hasher ~compiled ~key ~ckey) sets) in
+  let ckey = Atomic.make None in
+  let hashers = Array.of_list (List.map (hasher ~compiled) sets) in
   { nic; key; ckey; compiled; sets; hashers; reta }
 
 let random_key rng nic = Bitvec.random rng (8 * Model.key_bytes nic)
 
 let key t = t.key
-let compiled_key t = Lazy.force t.ckey
+let compiled_key t =
+  match Atomic.get t.ckey with
+  | Some ck -> ck
+  | None ->
+      let ck = Toeplitz.Key.compile t.key in
+      Atomic.set t.ckey (Some ck);
+      ck
 let uses_compiled t = t.compiled
 let nic t = t.nic
 let sets t = t.sets
 let reta t = t.reta
 let with_reta t reta = { t with reta }
 
-let hash_of t p =
-  let rec go = function
-    | [] -> None
-    | h :: rest -> ( match h p with Some _ as r -> r | None -> go rest)
-  in
-  go (Lazy.force t.hashers)
+(* Hash of one set, or -1 when the packet lacks its fields.  Top-level
+   and loop-only so the per-packet path allocates nothing. *)
+let hash_with t h p =
+  match h with
+  | Fields (s, plan) ->
+      if not (Field_set.matches s p) then -1
+      else begin
+        Telemetry.Counter.incr Toeplitz.hashes;
+        let ck = compiled_key t in
+        let acc = ref 0 and pos = ref 0 in
+        for j = 0 to Array.length plan - 1 do
+          let f, nbytes = Array.unsafe_get plan j in
+          acc := !acc lxor Toeplitz.Key.partial ck ~pos:!pos ~nbytes (Packet.Pkt.field_int p f);
+          pos := !pos + nbytes
+        done;
+        !acc
+      end
+  | Bits s -> (
+      match Field_set.hash_input s p with
+      | None -> -1
+      | Some d ->
+          if t.compiled then Toeplitz.Key.hash_int (compiled_key t) d
+          else Toeplitz.hash_int ~key:t.key d)
 
-let dispatch t p = match hash_of t p with Some h -> Reta.lookup t.reta h | None -> 0
+let hash_int t p =
+  let hs = t.hashers in
+  let h = ref (-1) and i = ref 0 in
+  while !h < 0 && !i < Array.length hs do
+    h := hash_with t (Array.unsafe_get hs !i) p;
+    incr i
+  done;
+  !h
+
+let hash_of t p =
+  let h = hash_int t p in
+  if h < 0 then None else Some h
+
+let dispatch t p =
+  let h = hash_int t p in
+  if h < 0 then 0 else Reta.lookup t.reta h
 
 let pp fmt t =
   Format.fprintf fmt "@[<v>nic: %s@ key: %s@ sets: %a@ %a@]" (Model.name t.nic)

@@ -50,12 +50,22 @@ val reta : t -> Reta.t
 
 val with_reta : t -> Reta.t -> t
 
+val hash_int : t -> Packet.Pkt.t -> int
+(** The 32-bit Toeplitz hash the NIC computes (non-negative), or [-1] when
+    no configured field set matches the packet (it then goes to the
+    default queue).  The sets are tried in order.  Each set is specialized
+    once, at {!configure}: on a compiled engine a whole-field set tests
+    the set's precomputed match flags and XORs each field's
+    {!Toeplitz.Key.partial} straight from {!Packet.Pkt.field_int}, so the
+    call allocates nothing; sliced sets and reference engines serialize
+    the input through {!Field_set.hash_input}. *)
+
 val hash_of : t -> Packet.Pkt.t -> int option
-(** The 32-bit Toeplitz hash the NIC computes, or [None] when no configured
-    field set matches the packet (it then goes to the default queue). *)
+(** {!hash_int} with the no-match sentinel as [None]. *)
 
 val dispatch : t -> Packet.Pkt.t -> int
 (** The queue (= core) this packet is steered to; unmatched packets go to
-    queue 0, as DPDK drivers do. *)
+    queue 0, as DPDK drivers do.  Allocation-free on compiled engines
+    (see {!hash_int}). *)
 
 val pp : Format.formatter -> t -> unit

@@ -47,15 +47,20 @@ module Key : sig
   val hash_int : t -> Bitvec.t -> int
   (** Same as {!hash} with the result as a non-negative int. *)
 
-  val hash_bytes_int : t -> nbytes:int -> (int -> int) -> int
-  (** [hash_bytes_int t ~nbytes get] hashes the [nbytes]-byte input whose
-      byte [i] is [get i] (masked to 8 bits) without building a {!Bitvec}
-      — the allocation-free inner loop of {!Rss.hash_of}'s fast path.
-      Byte [i] must match [Bitvec.byte input i] of the equivalent
-      big-endian serialization; the result is then bit-exact with {!hash}.
-      Raises [Invalid_argument] when the input exceeds
-      [max_input_bits]. *)
+  val partial : t -> pos:int -> nbytes:int -> int -> int
+  (** [partial t ~pos ~nbytes v] is the hash contribution of the
+      [nbytes]-byte big-endian value [v] (low [8 * nbytes] bits) placed at
+      input byte [pos].  By linearity, XOR-ing the partials of consecutive
+      byte-aligned fields gives {!hash_int} of their concatenation, with
+      no {!Bitvec} built — the allocation-free inner step of
+      {!Rss.hash_int}.  Not counted in [toeplitz.hashes]: the caller adds
+      one per complete hash ({!hashes}).  Raises [Invalid_argument] when
+      the bytes fall outside the key's tables. *)
 end
+
+val hashes : Telemetry.Counter.t
+(** The [toeplitz.hashes] counter: one per complete hash, whichever path
+    computed it. *)
 
 val microsoft_test_key : Bitvec.t
 (** The 40-byte reference key from the Microsoft RSS verification suite,

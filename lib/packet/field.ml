@@ -48,7 +48,7 @@ let rss_capable = function
      exactly like MAC-keyed state (rule R4). *)
   | Tunnel_id -> false
   (* Inner headers of terminated tunnels are hashable: the inner-header
-     field sets below pair with Field_set's inner byte plans. *)
+     inner-header field sets ([Nic.Field_set.inner_ipv4_tcp]) hash them. *)
   | Inner_ip_src | Inner_ip_dst | Inner_ip_proto | Inner_src_port | Inner_dst_port -> true
 
 let symmetric_counterpart = function

@@ -540,39 +540,46 @@ let submit ?bp t ~core task =
    derives the SCR write-slice. *)
 let nf_statically_writes = Maestro.Scrspec.nf_writes
 
-(* Chunk each core's index queue into batches and feed the rings;
-   [remaining] is incremented before each handoff and compensated on a
-   drop (a dropped task never runs, so nothing else will decrement for
-   it). *)
-let submit_queues t ~process_batch ~remaining queues =
-  Array.iteri
-    (fun core q ->
-      let n = Array.length q in
-      let nbatches = (n + t.batch_size - 1) / t.batch_size in
-      for b = 0 to nbatches - 1 do
-        let lo = b * t.batch_size in
-        let len = min t.batch_size (n - lo) in
-        Atomic.incr remaining;
-        match submit t ~core (process_batch core (Array.sub q lo len)) with
-        | `Pushed | `Inline -> ()
-        | `Dropped -> Atomic.decr remaining
-      done)
-    queues
-
-(* Per-core index queues, in arrival order, for [assignment.(lo..hi-1)]. *)
-let queues_of_assignment ~cores assignment ~lo ~hi =
-  let per = Array.make cores 0 in
-  for i = lo to hi - 1 do
-    per.(assignment.(i)) <- per.(assignment.(i)) + 1
-  done;
-  let queues = Array.init cores (fun c -> Array.make per.(c) 0) in
+(* The one producer-side hand-off of the RSS-steered disciplines: steer
+   packets [lo, hi) one at a time ([dispatch i] is packet [i]'s core),
+   record the decision in [assignment]/[per_core], stage the index in its
+   core's buffer and submit the buffer the moment it holds [batch_size]
+   packets — the workers start on the first full batch while the producer
+   keeps dispatching, and producer memory is one buffer per core, not a
+   copy of the trace.  Partial buffers are flushed at [hi] (end of run or
+   epoch barrier).  Each core's k-th batch is therefore its k-th run of
+   [batch_size] packets, exactly as if its whole queue had been chunked
+   after the fact.  [remaining] is incremented before each hand-off and
+   compensated on a drop (a dropped task never runs, so nothing else will
+   decrement for it). *)
+let stream t ~cores ~task ~remaining ~dispatch ~assignment ~per_core ~lo ~hi =
+  let bs = t.batch_size in
+  let bufs = Array.init cores (fun _ -> Array.make bs 0) in
   let fill = Array.make cores 0 in
+  let hand_off core indices =
+    Atomic.incr remaining;
+    match submit t ~core (task core indices) with
+    | `Pushed | `Inline -> ()
+    | `Dropped -> Atomic.decr remaining
+  in
   for i = lo to hi - 1 do
-    let c = assignment.(i) in
-    queues.(c).(fill.(c)) <- i;
-    fill.(c) <- fill.(c) + 1
+    let q = dispatch i in
+    assignment.(i) <- q;
+    per_core.(q) <- per_core.(q) + 1;
+    let n = fill.(q) in
+    bufs.(q).(n) <- i;
+    if n + 1 < bs then fill.(q) <- n + 1
+    else begin
+      (* the full buffer now belongs to the task: stage into a fresh one *)
+      let full = bufs.(q) in
+      bufs.(q) <- Array.make bs 0;
+      fill.(q) <- 0;
+      hand_off q full
+    end
   done;
-  queues
+  for core = 0 to cores - 1 do
+    if fill.(core) > 0 then hand_off core (Array.sub bufs.(core) 0 fill.(core))
+  done
 
 (* Producer waits for the last batch; workers signal by decrementing.
    Every 256 spins it plays supervisor: joins/restarts dead workers
@@ -671,7 +678,11 @@ let run ?(rebalance = Balancer.Off) ?(adaptive = Adaptive.Off) (t : t) (plan : M
       let nports = Array.length engines in
       let hash_pkt (pk : Packet.Pkt.t) =
         let port = if pk.Packet.Pkt.port < nports then pk.Packet.Pkt.port else 0 in
-        Nic.Rss.hash_of engines.(port) pk
+        Nic.Rss.hash_int engines.(port) pk
+      in
+      let migration_hash pk =
+        let h = hash_pkt pk in
+        if h < 0 then None else Some h
       in
       let mplan = Balancer.migration_plan nf in
       (* shared-nothing participates only when the migration is exact AND
@@ -793,7 +804,7 @@ let run ?(rebalance = Balancer.Off) ?(adaptive = Adaptive.Off) (t : t) (plan : M
             let shards = Array.init cores (fun c -> if c = 0 then merged else fresh ()) in
             let dentries = Nic.Reta.entries !table in
             account
-              (Balancer.migrate mplan ~hash:hash_pkt ~mask
+              (Balancer.migrate mplan ~hash:migration_hash ~mask
                  ~dest:(fun b -> dentries.(b))
                  ~instances:shards);
             insts := shards
@@ -884,30 +895,23 @@ let run ?(rebalance = Balancer.Off) ?(adaptive = Adaptive.Off) (t : t) (plan : M
            the actual dispatch counts, but the controller must see the
            imbalance the shared-nothing rung WOULD suffer *)
         Array.fill rss_counts 0 cores 0;
-        for i = lo to hi - 1 do
-          let q =
-            match hash_pkt pkts.(i) with
-            | Some h -> Nic.Reta.lookup !table h
-            | None -> 0
-          in
+        let rss_dispatch i =
+          let h = hash_pkt pkts.(i) in
+          let q = if h < 0 then 0 else Nic.Reta.lookup !table h in
           rss_counts.(q) <- rss_counts.(q) + 1;
-          assignment.(i) <- q
-        done;
+          q
+        in
         (match Adaptive.rung ctl with
         | Maestro.Ladder.Shared_nothing ->
-            for i = lo to hi - 1 do
-              per_core.(assignment.(i)) <- per_core.(assignment.(i)) + 1
-            done;
-            submit_queues t
-              ~process_batch:task_direct_ixs ~remaining
-              (queues_of_assignment ~cores assignment ~lo ~hi)
+            stream t ~cores ~task:task_direct_ixs ~remaining ~dispatch:rss_dispatch ~assignment
+              ~per_core ~lo ~hi
         | Maestro.Ladder.Lock_based ->
-            for i = lo to hi - 1 do
-              per_core.(assignment.(i)) <- per_core.(assignment.(i)) + 1
-            done;
-            submit_queues t ~process_batch:task_locked ~remaining
-              (queues_of_assignment ~cores assignment ~lo ~hi)
+            stream t ~cores ~task:task_locked ~remaining ~dispatch:rss_dispatch ~assignment
+              ~per_core ~lo ~hi
         | Maestro.Ladder.Serial ->
+            for i = lo to hi - 1 do
+              ignore (rss_dispatch i)
+            done;
             let core = first_live () in
             Array.fill assignment lo (hi - lo) core;
             per_core.(core) <- per_core.(core) + (hi - lo);
@@ -921,6 +925,9 @@ let run ?(rebalance = Balancer.Off) ?(adaptive = Adaptive.Off) (t : t) (plan : M
               p := !p + len
             done
         | Maestro.Ladder.Scr ->
+            for i = lo to hi - 1 do
+              ignore (rss_dispatch i)
+            done;
             let prog = Option.get scr_prog in
             let lives =
               Array.of_list
@@ -1005,7 +1012,7 @@ let run ?(rebalance = Balancer.Off) ?(adaptive = Adaptive.Off) (t : t) (plan : M
             | Maestro.Ladder.Shared_nothing ->
                 let dentries = Nic.Reta.entries candidate in
                 account
-                  (Balancer.migrate mplan ~hash:hash_pkt ~mask
+                  (Balancer.migrate mplan ~hash:migration_hash ~mask
                      ~dest:(fun b -> dentries.(b))
                      ~instances:!insts)
             | _ -> ());
@@ -1217,13 +1224,14 @@ let run ?(rebalance = Balancer.Off) ?(adaptive = Adaptive.Off) (t : t) (plan : M
   match rebalance with
   | Balancer.Off ->
       (* dispatch on the producer, exactly what the NIC does in hardware *)
-      let assignment =
-        Array.map (fun p -> Nic.Rss.dispatch engines.(p.Packet.Pkt.port) p) pkts
-      in
+      let assignment = Array.make npkts 0 in
       let per_core = Array.make cores 0 in
-      Array.iter (fun c -> per_core.(c) <- per_core.(c) + 1) assignment;
-      submit_queues t ~process_batch ~remaining
-        (queues_of_assignment ~cores assignment ~lo:0 ~hi:npkts);
+      let dispatch i =
+        let p = pkts.(i) in
+        Nic.Rss.dispatch engines.(p.Packet.Pkt.port) p
+      in
+      stream t ~cores ~task:process_batch ~remaining ~dispatch ~assignment ~per_core ~lo:0
+        ~hi:npkts;
       wait_quiesce t ~cores remaining;
       finish assignment [] per_core
   | Balancer.On cfg ->
@@ -1263,29 +1271,29 @@ let run ?(rebalance = Balancer.Off) ?(adaptive = Adaptive.Off) (t : t) (plan : M
       let per_core = Array.make cores 0 in
       let bucket_loads = Array.make size 0.0 in
       let epoch_counts = Array.make cores 0 in
+      (* per-bucket load accounting lives on the producer next to the
+         dispatch it already performs — zero worker-side cost, and
+         deterministic (a CI gate compares the resulting counters) *)
+      let dispatch i =
+        let p = pkts.(i) in
+        let h = Nic.Rss.hash_int engines.(p.Packet.Pkt.port) p in
+        let q =
+          if h < 0 then 0
+          else begin
+            let b = h land mask in
+            bucket_loads.(b) <- bucket_loads.(b) +. 1.0;
+            Nic.Reta.lookup !table h
+          end
+        in
+        epoch_counts.(q) <- epoch_counts.(q) + 1;
+        q
+      in
       let points = ref [] in
       let pos = ref 0 in
       while !pos < npkts do
         let hi = min (!pos + cfg.Balancer.epoch_pkts) npkts in
-        (* per-bucket load accounting lives on the producer next to the
-           dispatch it already performs — zero worker-side cost, and
-           deterministic (a CI gate compares the resulting counters) *)
-        for i = !pos to hi - 1 do
-          let p = pkts.(i) in
-          let q =
-            match Nic.Rss.hash_of engines.(p.Packet.Pkt.port) p with
-            | Some h ->
-                let b = h land mask in
-                bucket_loads.(b) <- bucket_loads.(b) +. 1.0;
-                Nic.Reta.lookup !table h
-            | None -> 0
-          in
-          assignment.(i) <- q;
-          epoch_counts.(q) <- epoch_counts.(q) + 1;
-          per_core.(q) <- per_core.(q) + 1
-        done;
-        submit_queues t ~process_batch ~remaining
-          (queues_of_assignment ~cores assignment ~lo:!pos ~hi);
+        stream t ~cores ~task:process_batch ~remaining ~dispatch ~assignment ~per_core ~lo:!pos
+          ~hi;
         (* the epoch barrier IS the quiesce point: nothing is in flight
            when the table changes or state moves, so per-flow order is
            preserved by construction (FIFO per core within an epoch) *)

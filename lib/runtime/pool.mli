@@ -107,7 +107,11 @@ type stats = {
   runs : int;  (** plans executed since the pool was created *)
   batches : int;  (** batches pushed over the pool's lifetime *)
   pkts : int;  (** packets executed over the pool's lifetime *)
-  ring_full_stalls : int;  (** producer stalls on a full ring *)
+  ring_full_stalls : int;
+      (** submits that found the target core's ring full (each applies the
+          backpressure policy once).  The hand-off streams, so a stall
+          happens mid-dispatch, while the worker drains the batches already
+          handed over — not after the whole trace was dispatched *)
   last_per_core_pkts : int array;  (** dispatch counts of the most recent run *)
   dropped_batches : int;  (** batches dropped by backpressure *)
   dropped_pkts : int;  (** packets dropped by backpressure *)
@@ -204,7 +208,21 @@ val run :
   Dsl.Interp.action array
 (** Execute a plan over a trace on the pool's persistent workers.
     Verdicts are returned in the original packet order; batches dropped
-    by backpressure leave their packets' verdicts as [Dropped].  When
+    by backpressure leave their packets' verdicts as [Dropped].
+
+    The hand-off is streamed, per batch.  For the RSS-steered disciplines
+    (shared-nothing, load-balance, lock, TM, and the adaptive
+    shared-nothing and lock rungs) the producer dispatches one packet at a
+    time through {!Nic.Rss.dispatch}, stages its index in the target
+    core's buffer of {!batch_size} packets and submits the buffer as soon
+    as it is full, so the workers run while the producer is still
+    dispatching; partial buffers are flushed at the end of the trace or at
+    an epoch barrier.  Each core's k-th batch is its k-th run of
+    [batch_size] packets in arrival order — the batching and the per-core
+    batch indices that {!Faults} plans address do not depend on the
+    overlap.  Producer-side memory is one staging buffer per core, plus
+    the per-packet verdicts and {!field-last_assignment}.  SCR sprays
+    whole batches round-robin and does not dispatch through RSS.  When
     cores have failed permanently, the RSS indirection tables are
     remapped so every packet lands on a live core.  Raises
     [Invalid_argument] when the plan wants more cores than the pool has

@@ -342,6 +342,99 @@ let test_pool_reuse_and_stats () =
     (Invalid_argument "Throughput.evaluate: measured_shares length") (fun () ->
       ignore (Sim.Throughput.evaluate ~measured_shares:[| 1.0 |] plan profile trace))
 
+(* Streaming hand-off: the producer submits each core's batch the moment
+   it fills, so with a one-batch ring it stalls mid-dispatch while workers
+   drain.  Verdicts, per-packet steering and per-core counts must be those
+   of dispatch-everything-first, whatever the batch size. *)
+let streaming_cases () =
+  let fw_lan_only =
+    (* lock plans serialize writes in acquisition order, so fw under locks
+       gets an order-insensitive trace: LAN->WAN traffic is always
+       forwarded whatever the flow table holds *)
+    let st = rng 47 in
+    Traffic.Gen.uniform
+      ~spec:{ Traffic.Gen.default_spec with pkts = 1500; reply_fraction = 0.0 }
+      st ~flows:(Traffic.Gen.flows st 150)
+  in
+  [
+    ("fw", plan_of ~cores:3 "fw", mixed_trace 48 1500 150);
+    ("fw", plan_of ~cores:3 ~strategy:`Force_locks "fw", fw_lan_only);
+    ("nop", plan_of ~cores:3 "nop", mixed_trace 49 1500 150);
+    ("nop", plan_of ~cores:3 ~strategy:`Force_locks "nop", mixed_trace 50 1500 150);
+  ]
+
+let test_pool_streaming_matches_sequential () =
+  List.iter
+    (fun (name, plan, trace) ->
+      let nf = Nfs.Registry.find_exn name in
+      let seq = Runtime.Parallel.run_sequential nf trace in
+      let engines = Array.init nf.Dsl.Ast.devices (Maestro.Plan.rss_engine plan) in
+      let npkts = Array.length trace in
+      List.iter
+        (fun bs ->
+          let label =
+            Printf.sprintf "%s %s batch=%d" name
+              (Maestro.Plan.strategy_name plan.Maestro.Plan.strategy)
+              bs
+          in
+          let pool = Runtime.Pool.create ~batch_size:bs ~ring_capacity:1 ~cores:3 () in
+          Fun.protect ~finally:(fun () -> Runtime.Pool.shutdown pool) @@ fun () ->
+          let v = Runtime.Pool.run pool plan trace in
+          Alcotest.(check bool) (label ^ ": == sequential") true (verdicts_equal seq v);
+          let s = Runtime.Pool.stats pool in
+          Array.iteri
+            (fun i (p : Packet.Pkt.t) ->
+              if s.Runtime.Pool.last_assignment.(i) <> Nic.Rss.dispatch engines.(p.port) p then
+                Alcotest.failf "%s: packet %d steered off its RSS queue" label i)
+            trace;
+          Alcotest.(check int) (label ^ ": per-core counts cover the trace") npkts
+            (Array.fold_left ( + ) 0 s.Runtime.Pool.last_per_core_pkts);
+          Array.iteri
+            (fun c n ->
+              Alcotest.(check int)
+                (Printf.sprintf "%s: core %d count" label c)
+                (Array.fold_left
+                   (fun acc q -> if q = c then acc + 1 else acc)
+                   0 s.Runtime.Pool.last_assignment)
+                n)
+            s.Runtime.Pool.last_per_core_pkts;
+          Alcotest.(check int) (label ^ ": nothing dropped") 0 s.Runtime.Pool.dropped_pkts)
+        [ 1; 7; 32 ])
+    (streaming_cases ())
+
+(* Under [Shed] a full one-batch ring drops batches mid-dispatch: every
+   packet is either executed (nop forwards all of them, exactly as the
+   sequential run does) or accounted as dropped. *)
+let test_pool_streaming_shed_accounts_every_packet () =
+  let nf = Nfs.Registry.find_exn "nop" in
+  let trace = mixed_trace 51 4000 200 in
+  let seq = Runtime.Parallel.run_sequential nf trace in
+  let plan = plan_of ~cores:2 "nop" in
+  List.iter
+    (fun bs ->
+      let pool =
+        Runtime.Pool.create ~batch_size:bs ~ring_capacity:1 ~backpressure:Runtime.Pool.Shed
+          ~cores:2 ()
+      in
+      Fun.protect ~finally:(fun () -> Runtime.Pool.shutdown pool) @@ fun () ->
+      let v = Runtime.Pool.run pool plan trace in
+      let executed = ref 0 in
+      Array.iteri
+        (fun i verdict ->
+          match verdict with
+          | Dsl.Interp.Dropped -> ()
+          | Dsl.Interp.Fwd _ ->
+              incr executed;
+              if not (verdicts_equal [| seq.(i) |] [| verdict |]) then
+                Alcotest.failf "batch=%d: packet %d diverged from sequential" bs i)
+        v;
+      let s = Runtime.Pool.stats pool in
+      Alcotest.(check int)
+        (Printf.sprintf "batch=%d: executed + dropped = npkts" bs)
+        (Array.length trace)
+        (!executed + s.Runtime.Pool.dropped_pkts))
+    [ 1; 7; 32 ]
+
 let test_pool_rejects_oversized_plan () =
   let pool = Runtime.Pool.create ~cores:2 () in
   Fun.protect ~finally:(fun () -> Runtime.Pool.shutdown pool) @@ fun () ->
@@ -494,6 +587,10 @@ let suite =
     Alcotest.test_case "pool tm equivalence" `Quick test_pool_tm_equivalence;
     Alcotest.test_case "pool batch sizes 1/32/7" `Quick test_pool_batch_sizes;
     Alcotest.test_case "pool reuse, stats, measured shares" `Quick test_pool_reuse_and_stats;
+    Alcotest.test_case "pool streaming == sequential (fw/nop, sn/lock)" `Quick
+      test_pool_streaming_matches_sequential;
+    Alcotest.test_case "pool streaming shed accounts every packet" `Quick
+      test_pool_streaming_shed_accounts_every_packet;
     Alcotest.test_case "pool rejects oversized plan" `Quick test_pool_rejects_oversized_plan;
     Alcotest.test_case "rwlock mutual exclusion" `Quick test_rwlock_mutual_exclusion;
     Alcotest.test_case "rwlock readers disjoint" `Quick test_rwlock_readers_disjoint;
