@@ -223,10 +223,9 @@ let replay_into t m ~old_table ~log ~log_len =
       else begin
         let repl = Runtime.Scr.bind prog m.inst in
         for k = 0 to (log_len / stride) - 1 do
-          let off = k * stride in
-          let pkt = Runtime.Scr.decode prog log off in
+          let pkt = Runtime.Scr.decode prog log (k * stride) in
           if owner_of_hash old_table (front_hash t pkt) = m.id then
-            Runtime.Scr.apply repl log off
+            Runtime.Scr.replay repl pkt
         done;
         resident_flows t m.inst
       end

@@ -255,19 +255,9 @@ let builders : (int -> int -> bytes -> Pkt.t) array =
         and gied = g_ieth_dst.(sid)
         and giis = g_iip_src.(sid)
         and giid = g_iip_dst.(sid) in
-        let inner =
-          if sid = Sid.vxlan_tcp then
-            let gip = g_itcp_sport.(sid) and gid' = g_itcp_dport.(sid) in
-            fun b -> (Pkt.Tcp, gip b, gid' b)
-          else if sid = Sid.vxlan_udp then
-            let gip = g_iudp_sport.(sid) and gid' = g_iudp_dport.(sid) in
-            fun b -> (Pkt.Udp, gip b, gid' b)
-          else
-            let gipr = g_iip_proto.(sid) in
-            fun b -> (Pkt.proto_of_number (gipr b), 0, 0)
-        in
-        fun port ts_ns b ->
-          let in_proto, isp, idp = inner b in
+        (* one builder per inner shape, each passing the inner protocol
+           and ports straight in: no per-frame tuple *)
+        let frame in_proto isp idp port ts_ns b =
           base ~proto:Pkt.Udp ~sport:(gsp b) ~dport:Stacks.vxlan_port
             ~encap:
               (Some
@@ -282,22 +272,20 @@ let builders : (int -> int -> bytes -> Pkt.t) array =
                    in_src_port = isp;
                    in_dst_port = idp;
                  })
-            port ts_ns b)
+            port ts_ns b
+        in
+        if sid = Sid.vxlan_tcp then (
+          let gip = g_itcp_sport.(sid) and gid' = g_itcp_dport.(sid) in
+          fun port ts_ns b -> frame Pkt.Tcp (gip b) (gid' b) port ts_ns b)
+        else if sid = Sid.vxlan_udp then (
+          let gip = g_iudp_sport.(sid) and gid' = g_iudp_dport.(sid) in
+          fun port ts_ns b -> frame Pkt.Udp (gip b) (gid' b) port ts_ns b)
+        else
+          let gipr = g_iip_proto.(sid) in
+          fun port ts_ns b -> frame (Pkt.proto_of_number (gipr b)) 0 0 port ts_ns b)
       else if sid = Sid.gre_tcp || sid = Sid.gre_udp || sid = Sid.gre_ip then (
         let gkey = g_gre_key.(sid) and giis = g_iip_src.(sid) and giid = g_iip_dst.(sid) in
-        let inner =
-          if sid = Sid.gre_tcp then
-            let gip = g_itcp_sport.(sid) and gid' = g_itcp_dport.(sid) in
-            fun b -> (Pkt.Tcp, gip b, gid' b)
-          else if sid = Sid.gre_udp then
-            let gip = g_iudp_sport.(sid) and gid' = g_iudp_dport.(sid) in
-            fun b -> (Pkt.Udp, gip b, gid' b)
-          else
-            let gipr = g_iip_proto.(sid) in
-            fun b -> (Pkt.proto_of_number (gipr b), 0, 0)
-        in
-        fun port ts_ns b ->
-          let in_proto, isp, idp = inner b in
+        let frame in_proto isp idp port ts_ns b =
           base ~proto:(Pkt.Other Stacks.gre_proto) ~sport:0 ~dport:0
             ~encap:
               (Some
@@ -312,7 +300,17 @@ let builders : (int -> int -> bytes -> Pkt.t) array =
                    in_src_port = isp;
                    in_dst_port = idp;
                  })
-            port ts_ns b)
+            port ts_ns b
+        in
+        if sid = Sid.gre_tcp then (
+          let gip = g_itcp_sport.(sid) and gid' = g_itcp_dport.(sid) in
+          fun port ts_ns b -> frame Pkt.Tcp (gip b) (gid' b) port ts_ns b)
+        else if sid = Sid.gre_udp then (
+          let gip = g_iudp_sport.(sid) and gid' = g_iudp_dport.(sid) in
+          fun port ts_ns b -> frame Pkt.Udp (gip b) (gid' b) port ts_ns b)
+        else
+          let gipr = g_iip_proto.(sid) in
+          fun port ts_ns b -> frame (Pkt.proto_of_number (gipr b)) 0 0 port ts_ns b)
       else
         fun _ _ _ ->
           invalid_arg ("Wire.parse_typed: unhandled shape " ^ Codec.shape_name c sid))

@@ -581,6 +581,75 @@ let stream t ~cores ~task ~remaining ~dispatch ~assignment ~per_core ~lo ~hi =
     if fill.(core) > 0 then hand_off core (Array.sub bufs.(core) 0 fill.(core))
   done
 
+(* The one producer-side hand-off of SCR, shared by the static arm and
+   the adaptive SCR rung: cut packets [lo, hi) into [batch_size] batches;
+   each goes whole to the next owner of the round-robin over the [live]
+   cores ([rr] counts batches and is advanced here, so a caller that
+   sprays in epochs keeps the rotation going across calls).  The
+   producer encodes the batch's digest, hands it to [log] (the
+   crash-rebuild log) and broadcasts the batch: the owner runs the full
+   NF for the verdicts, every other live core gets a [replay] of the
+   digest against its replica.  Every task bumps its core's [applied]
+   count when done.  Submission is lossless ([Block]): a dropped digest
+   batch would silently diverge a replica. *)
+let spray t ~prog ~live ~rr ~log ~replay ~runners ~applied ~pkts ~verdicts ~remaining
+    ~assignment ~per_core ~lo ~hi =
+  let lives =
+    Array.of_list
+      (List.filteri (fun c _ -> live.(c)) (List.init (Array.length live) Fun.id))
+  in
+  let nlive = Array.length lives in
+  let finished core =
+    applied.(core) <- applied.(core) + 1;
+    Atomic.decr remaining
+  in
+  let p = ref lo in
+  while !p < hi do
+    let blo = !p in
+    let len = min t.batch_size (hi - blo) in
+    let owner = lives.(!rr mod nlive) in
+    incr rr;
+    Array.fill assignment blo len owner;
+    per_core.(owner) <- per_core.(owner) + len;
+    let digest = Scr.encode_batch prog pkts ~lo:blo ~len in
+    log digest len;
+    let bytes = len * Scr.digest_wire_bytes prog in
+    t.scr_digest_bytes <- t.scr_digest_bytes + bytes;
+    Telemetry.Counter.add c_scr_digest_bytes bytes;
+    Array.iter
+      (fun core ->
+        let task =
+          if core = owner then
+            {
+              npkts = len;
+              run =
+                (fun () ->
+                  let r = runners.(core) in
+                  for i = blo to blo + len - 1 do
+                    verdicts.(i) <- Dsl.Compile.run r pkts.(i)
+                  done;
+                  finished core);
+            }
+          else begin
+            t.scr_replays <- t.scr_replays + 1;
+            Telemetry.Counter.incr c_scr_replays;
+            {
+              npkts = len;
+              run =
+                (fun () ->
+                  replay core digest len;
+                  finished core);
+            }
+          end
+        in
+        Atomic.incr remaining;
+        match submit ~bp:Block t ~core task with
+        | `Pushed | `Inline -> ()
+        | `Dropped -> Atomic.decr remaining (* unreachable under Block *))
+      lives;
+    p := blo + len
+  done
+
 (* Producer waits for the last batch; workers signal by decrementing.
    Every 256 spins it plays supervisor: joins/restarts dead workers
    (running their crashed batch and, on permanent failure, their whole
@@ -928,64 +997,12 @@ let run ?(rebalance = Balancer.Off) ?(adaptive = Adaptive.Off) (t : t) (plan : M
             for i = lo to hi - 1 do
               ignore (rss_dispatch i)
             done;
-            let prog = Option.get scr_prog in
-            let lives =
-              Array.of_list
-                (List.filteri (fun c _ -> live.(c)) (List.init cores Fun.id))
-            in
-            let nlive = Array.length lives in
-            let p = ref lo in
-            while !p < hi do
-              let blo = !p in
-              let len = min t.batch_size (hi - blo) in
-              let owner = lives.(!rr mod nlive) in
-              incr rr;
-              Array.fill assignment blo len owner;
-              per_core.(owner) <- per_core.(owner) + len;
-              let digest = Scr.encode_batch prog pkts ~lo:blo ~len in
-              push_log digest len;
-              let bytes = len * Scr.digest_wire_bytes prog in
-              t.scr_digest_bytes <- t.scr_digest_bytes + bytes;
-              Telemetry.Counter.add c_scr_digest_bytes bytes;
-              Array.iter
-                (fun core ->
-                  let task =
-                    if core = owner then
-                      {
-                        npkts = len;
-                        run =
-                          (fun () ->
-                            let r = runners.(core) in
-                            for i = blo to blo + len - 1 do
-                              verdicts.(i) <- Dsl.Compile.run r pkts.(i)
-                            done;
-                            applied.(core) <- applied.(core) + 1;
-                            Atomic.decr remaining);
-                      }
-                    else begin
-                      t.scr_replays <- t.scr_replays + 1;
-                      Telemetry.Counter.incr c_scr_replays;
-                      {
-                        npkts = len;
-                        run =
-                          (fun () ->
-                            (match replayers.(core) with
-                            | Some rp -> Scr.apply_batch rp digest ~npkts:len
-                            | None -> ());
-                            applied.(core) <- applied.(core) + 1;
-                            Atomic.decr remaining);
-                      }
-                    end
-                  in
-                  Atomic.incr remaining;
-                  (* lossless backpressure: a dropped digest batch would
-                     silently diverge a replica *)
-                  match submit ~bp:Block t ~core task with
-                  | `Pushed | `Inline -> ()
-                  | `Dropped -> Atomic.decr remaining)
-                lives;
-              p := blo + len
-            done);
+            spray t ~prog:(Option.get scr_prog) ~live ~rr ~log:push_log
+              ~replay:(fun core digest len ->
+                match replayers.(core) with
+                | Some rp -> Scr.apply_batch rp digest ~npkts:len
+                | None -> ())
+              ~runners ~applied ~pkts ~verdicts ~remaining ~assignment ~per_core ~lo ~hi);
         (* the epoch barrier IS the quiesce point *)
         wait_quiesce t ~cores remaining;
         pos := hi;
@@ -1139,14 +1156,10 @@ let run ?(rebalance = Balancer.Off) ?(adaptive = Adaptive.Off) (t : t) (plan : M
       let prog = Scr.prepare spec in
       let runners = Array.map (Dsl.Compile.bind_runner staged) insts in
       let replayers = Array.map (Scr.bind prog) insts in
-      let lives =
-        Array.of_list
-          (List.filteri (fun c _ -> live.(c)) (List.init cores Fun.id))
-      in
-      let nlive = Array.length lives in
       let nbatches = (npkts + t.batch_size - 1) / t.batch_size in
       let log = Array.make (max 1 nbatches) [||] in
       let log_npkts = Array.make (max 1 nbatches) 0 in
+      let log_len = ref 0 in
       (* batches of THIS run fully applied per core; written by whoever
          executes the task (worker, or the producer inline), read by the
          producer only after joining the dead domain *)
@@ -1169,54 +1182,13 @@ let run ?(rebalance = Balancer.Off) ?(adaptive = Adaptive.Off) (t : t) (plan : M
               Scr.apply_batch replayers.(core) log.(b) ~npkts:log_npkts.(b)
             done);
       Fun.protect ~finally:(fun () -> t.scr_crash_hook <- None) @@ fun () ->
-      for b = 0 to nbatches - 1 do
-        let lo = b * t.batch_size in
-        let len = min t.batch_size (npkts - lo) in
-        let owner = lives.(b mod nlive) in
-        Array.fill assignment lo len owner;
-        per_core.(owner) <- per_core.(owner) + len;
-        let digest = Scr.encode_batch prog pkts ~lo ~len in
-        log.(b) <- digest;
-        log_npkts.(b) <- len;
-        let bytes = len * Scr.digest_wire_bytes prog in
-        t.scr_digest_bytes <- t.scr_digest_bytes + bytes;
-        Telemetry.Counter.add c_scr_digest_bytes bytes;
-        Array.iter
-          (fun core ->
-            let task =
-              if core = owner then
-                {
-                  npkts = len;
-                  run =
-                    (fun () ->
-                      let r = runners.(core) in
-                      for i = lo to lo + len - 1 do
-                        verdicts.(i) <- Dsl.Compile.run r pkts.(i)
-                      done;
-                      applied.(core) <- applied.(core) + 1;
-                      Atomic.decr remaining);
-                }
-              else begin
-                t.scr_replays <- t.scr_replays + 1;
-                Telemetry.Counter.incr c_scr_replays;
-                {
-                  npkts = len;
-                  run =
-                    (fun () ->
-                      Scr.apply_batch replayers.(core) digest ~npkts:len;
-                      applied.(core) <- applied.(core) + 1;
-                      Atomic.decr remaining);
-                }
-              end
-            in
-            Atomic.incr remaining;
-            (* a dropped digest batch would silently diverge a replica:
-               force lossless backpressure regardless of pool policy *)
-            match submit ~bp:Block t ~core task with
-            | `Pushed | `Inline -> ()
-            | `Dropped -> Atomic.decr remaining (* unreachable under Block *))
-          lives
-      done;
+      spray t ~prog ~live ~rr:(ref 0)
+        ~log:(fun digest len ->
+          log.(!log_len) <- digest;
+          log_npkts.(!log_len) <- len;
+          incr log_len)
+        ~replay:(fun core digest len -> Scr.apply_batch replayers.(core) digest ~npkts:len)
+        ~runners ~applied ~pkts ~verdicts ~remaining ~assignment ~per_core ~lo:0 ~hi:npkts;
       wait_quiesce t ~cores remaining;
       finish assignment [] per_core
   | Maestro.Plan.Shared_nothing | Maestro.Plan.Load_balance | Maestro.Plan.Lock_based

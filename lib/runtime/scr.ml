@@ -8,10 +8,34 @@
    a batch's digest is a single [int array] pushed over the existing SPSC
    rings with no per-packet boxing. *)
 
+(* The digest layout is staged once, in [prepare]: [fields.(j)] is the
+   header field in slot [j], and every [Pkt.t] / [encap] field the
+   pseudo-packet is rebuilt from has its slot index ([-1]: not in the
+   digest, use the default).  Encode and decode then read slots straight
+   through — no field-list walk, no closure, no [ref] per packet. *)
 type t = {
   spec : Maestro.Scrspec.t;
   staged : Dsl.Compile.staged;
   ints_per_pkt : int;
+  fields : Packet.Field.t array;
+  s_port : int;
+  s_eth_src : int;
+  s_eth_dst : int;
+  s_eth_type : int;
+  s_ip_src : int;
+  s_ip_dst : int;
+  s_proto : int;
+  s_src_port : int;
+  s_dst_port : int;
+  s_tunnel_id : int;
+  s_in_ip_src : int;
+  s_in_ip_dst : int;
+  s_in_proto : int;
+  s_in_src_port : int;
+  s_in_dst_port : int;
+  s_size : int;
+  s_ts_ns : int;
+  has_inner : bool;  (** some inner field is in the digest *)
 }
 
 let spec t = t.spec
@@ -29,26 +53,71 @@ let prepare ?compiled (spec : Maestro.Scrspec.t) =
              spec.Maestro.Scrspec.nf.Dsl.Ast.name
              (String.concat "; " errs))
   in
-  let ints_per_pkt =
-    List.length spec.Maestro.Scrspec.fields
-    + (if spec.Maestro.Scrspec.needs_port then 1 else 0)
-    + (if spec.Maestro.Scrspec.needs_len then 1 else 0)
-    + if spec.Maestro.Scrspec.needs_ts then 1 else 0
+  let fields = Array.of_list spec.Maestro.Scrspec.fields in
+  let nfields = Array.length fields in
+  (* the last slot carrying a field wins, as a sequential decode would *)
+  let slot_of f =
+    let s = ref (-1) in
+    Array.iteri (fun j g -> if g = f then s := j) fields;
+    !s
   in
-  { spec; staged = Dsl.Compile.stage_runner ?compiled slice info; ints_per_pkt }
+  (* port / length / timestamp follow the header fields, in that order *)
+  let next = ref nfields in
+  let extra needed =
+    if needed then begin
+      let s = !next in
+      incr next;
+      s
+    end
+    else -1
+  in
+  let s_port = extra spec.Maestro.Scrspec.needs_port in
+  let s_size = extra spec.Maestro.Scrspec.needs_len in
+  let s_ts_ns = extra spec.Maestro.Scrspec.needs_ts in
+  let module F = Packet.Field in
+  let s_tunnel_id = slot_of F.Tunnel_id
+  and s_in_ip_src = slot_of F.Inner_ip_src
+  and s_in_ip_dst = slot_of F.Inner_ip_dst
+  and s_in_proto = slot_of F.Inner_ip_proto
+  and s_in_src_port = slot_of F.Inner_src_port
+  and s_in_dst_port = slot_of F.Inner_dst_port in
+  {
+    spec;
+    staged = Dsl.Compile.stage_runner ?compiled slice info;
+    ints_per_pkt = !next;
+    fields;
+    s_port;
+    s_eth_src = slot_of F.Eth_src;
+    s_eth_dst = slot_of F.Eth_dst;
+    s_eth_type = slot_of F.Eth_type;
+    s_ip_src = slot_of F.Ip_src;
+    s_ip_dst = slot_of F.Ip_dst;
+    s_proto = slot_of F.Ip_proto;
+    s_src_port = slot_of F.Src_port;
+    s_dst_port = slot_of F.Dst_port;
+    s_tunnel_id;
+    s_in_ip_src;
+    s_in_ip_dst;
+    s_in_proto;
+    s_in_src_port;
+    s_in_dst_port;
+    s_size;
+    s_ts_ns;
+    has_inner =
+      List.exists (fun s -> s >= 0)
+        [ s_tunnel_id; s_in_ip_src; s_in_ip_dst; s_in_proto; s_in_src_port; s_in_dst_port ];
+  }
 
 (* --- encoding ---------------------------------------------------------------- *)
 
 let encode t pkt buf off =
-  let i = ref off in
-  let push v =
-    buf.(!i) <- v;
-    incr i
-  in
-  List.iter (fun f -> push (Packet.Pkt.field_int pkt f)) t.spec.Maestro.Scrspec.fields;
-  if t.spec.Maestro.Scrspec.needs_port then push pkt.Packet.Pkt.port;
-  if t.spec.Maestro.Scrspec.needs_len then push pkt.Packet.Pkt.size;
-  if t.spec.Maestro.Scrspec.needs_ts then push pkt.Packet.Pkt.ts_ns
+  let fields = t.fields in
+  for j = 0 to Array.length fields - 1 do
+    buf.(off + j) <- Packet.Pkt.field_int pkt fields.(j)
+  done;
+  if t.s_port >= 0 then buf.(off + t.s_port) <- pkt.Packet.Pkt.port;
+  if t.s_size >= 0 then buf.(off + t.s_size) <- pkt.Packet.Pkt.size;
+  if t.s_ts_ns >= 0 then buf.(off + t.s_ts_ns) <- pkt.Packet.Pkt.ts_ns
 
 let encode_batch t pkts ~lo ~len =
   let buf = Array.make (max 1 (len * t.ints_per_pkt)) 0 in
@@ -63,90 +132,43 @@ type replayer = { prog : t; runner : Dsl.Compile.runner }
 
 let bind prog instance = { prog; runner = Dsl.Compile.bind_runner prog.staged instance }
 
+(* Slot [s] of the segment at [off], or [default] when the field is not
+   in the digest.  Top-level and closed, so a read is a direct call. *)
+let slot buf off s default = if s < 0 then default else buf.(off + s)
+
 (* Reconstruct a pseudo-packet from one digest segment.  Fields absent
    from the digest are never read by the slice, so their defaults are
    irrelevant to the replayed state trajectory. *)
 let decode t buf off =
-  let i = ref off in
-  let next () =
-    let v = buf.(!i) in
-    incr i;
-    v
-  in
-  let port = ref 0
-  and eth_src = ref 0
-  and eth_dst = ref 0
-  and eth_type = ref Packet.Pkt.ipv4_ethertype
-  and ip_src = ref 0
-  and ip_dst = ref 0
-  and proto = ref 6 (* TCP *)
-  and src_port = ref 0
-  and dst_port = ref 0
-  and has_inner = ref false
-  and tunnel_id = ref 0
-  and in_ip_src = ref 0
-  and in_ip_dst = ref 0
-  and in_proto = ref 6
-  and in_src_port = ref 0
-  and in_dst_port = ref 0
-  and size = ref 64
-  and ts_ns = ref 0 in
-  let inner r v =
-    has_inner := true;
-    r := v
-  in
-  List.iter
-    (fun f ->
-      let v = next () in
-      match (f : Packet.Field.t) with
-      | Packet.Field.Eth_src -> eth_src := v
-      | Packet.Field.Eth_dst -> eth_dst := v
-      | Packet.Field.Eth_type -> eth_type := v
-      | Packet.Field.Ip_src -> ip_src := v
-      | Packet.Field.Ip_dst -> ip_dst := v
-      | Packet.Field.Ip_proto -> proto := v
-      | Packet.Field.Src_port -> src_port := v
-      | Packet.Field.Dst_port -> dst_port := v
-      | Packet.Field.Tunnel_id -> inner tunnel_id v
-      | Packet.Field.Inner_ip_src -> inner in_ip_src v
-      | Packet.Field.Inner_ip_dst -> inner in_ip_dst v
-      | Packet.Field.Inner_ip_proto -> inner in_proto v
-      | Packet.Field.Inner_src_port -> inner in_src_port v
-      | Packet.Field.Inner_dst_port -> inner in_dst_port v)
-    t.spec.Maestro.Scrspec.fields;
-  if t.spec.Maestro.Scrspec.needs_port then port := next ();
-  if t.spec.Maestro.Scrspec.needs_len then size := next ();
-  if t.spec.Maestro.Scrspec.needs_ts then ts_ns := next ();
   {
-    Packet.Pkt.port = !port;
-    eth_src = !eth_src;
-    eth_dst = !eth_dst;
-    eth_type = !eth_type;
-    ip_src = !ip_src;
-    ip_dst = !ip_dst;
-    proto = Packet.Pkt.proto_of_number !proto;
-    src_port = !src_port;
-    dst_port = !dst_port;
+    Packet.Pkt.port = slot buf off t.s_port 0;
+    eth_src = slot buf off t.s_eth_src 0;
+    eth_dst = slot buf off t.s_eth_dst 0;
+    eth_type = slot buf off t.s_eth_type Packet.Pkt.ipv4_ethertype;
+    ip_src = slot buf off t.s_ip_src 0;
+    ip_dst = slot buf off t.s_ip_dst 0;
+    proto = Packet.Pkt.proto_of_number (slot buf off t.s_proto 6 (* TCP *));
+    src_port = slot buf off t.s_src_port 0;
+    dst_port = slot buf off t.s_dst_port 0;
     encap =
-      (if !has_inner then
+      (if t.has_inner then
          Some
            {
              Packet.Pkt.default_encap with
-             tunnel_id = !tunnel_id;
-             in_ip_src = !in_ip_src;
-             in_ip_dst = !in_ip_dst;
-             in_proto = Packet.Pkt.proto_of_number !in_proto;
-             in_src_port = !in_src_port;
-             in_dst_port = !in_dst_port;
+             tunnel_id = slot buf off t.s_tunnel_id 0;
+             in_ip_src = slot buf off t.s_in_ip_src 0;
+             in_ip_dst = slot buf off t.s_in_ip_dst 0;
+             in_proto = Packet.Pkt.proto_of_number (slot buf off t.s_in_proto 6);
+             in_src_port = slot buf off t.s_in_src_port 0;
+             in_dst_port = slot buf off t.s_in_dst_port 0;
            }
        else None);
-    size = !size;
-    ts_ns = !ts_ns;
+    size = slot buf off t.s_size 64;
+    ts_ns = slot buf off t.s_ts_ns 0;
   }
 
-let apply r buf off =
-  let pkt = decode r.prog buf off in
-  ignore (Dsl.Compile.run r.runner pkt)
+let replay r pkt = ignore (Dsl.Compile.run r.runner pkt)
+let apply r buf off = replay r (decode r.prog buf off)
 
 let apply_batch r buf ~npkts =
   let stride = r.prog.ints_per_pkt in

@@ -25,7 +25,10 @@ type t
     layout.  Instance-independent; bind once per replica. *)
 
 val prepare : ?compiled:bool -> Maestro.Scrspec.t -> t
-(** Stage the write-slice of an admissible spec ({!Maestro.Scrspec.admissible}).
+(** Stage the write-slice of an admissible spec ({!Maestro.Scrspec.admissible})
+    and its digest layout: the digest fields as an array, and for every
+    pseudo-packet field the slot that carries it (or none), so the
+    per-packet {!encode} and {!decode} never walk the field list.
     [compiled] selects the compiled or interpreted runner, defaulting to
     {!Dsl.Compile.set_default}.  Raises [Invalid_argument] if the slice
     fails {!Dsl.Check.check} (impossible for a spec derived from a
@@ -46,11 +49,12 @@ val digest_wire_bytes : t -> int
 
 val encode : t -> Packet.Pkt.t -> int array -> int -> unit
 (** [encode t pkt buf off] writes [pkt]'s digest segment at [buf.(off)
-    ..], using exactly {!ints_per_pkt} slots. *)
+    ..], using exactly {!ints_per_pkt} slots.  Allocates nothing. *)
 
 val encode_batch : t -> Packet.Pkt.t array -> lo:int -> len:int -> int array
 (** Digest for the batch [pkts.(lo) .. pkts.(lo+len-1)] as one freshly
-    allocated array of [len * ints_per_pkt] slots. *)
+    allocated array of [len * ints_per_pkt] slots.  That array is its
+    only allocation. *)
 
 val decode : t -> int array -> int -> Packet.Pkt.t
 (** [decode t buf off] reconstructs the pseudo-packet of the digest
@@ -59,7 +63,10 @@ val decode : t -> int array -> int -> Packet.Pkt.t
     The cluster tier uses this to ownership-filter a retained digest log
     when rebuilding a failed machine's replica: each logged packet is
     re-hashed with the front-tier key to decide whether the dead machine
-    owned it. *)
+    owned it, and only owned ones are {!replay}ed.  Allocates the
+    pseudo-packet and nothing else: the [Pkt.t] record, its [encap] (and
+    the option around it) only when an inner or tunnel field is in the
+    digest, and a [Pkt.Other] only for a digested non-TCP/UDP protocol. *)
 
 (** {1 Replay} *)
 
@@ -69,14 +76,19 @@ type replayer
 
 val bind : t -> Dsl.Instance.t -> replayer
 
+val replay : replayer -> Packet.Pkt.t -> unit
+(** Run the write-slice against the replica on an already-decoded
+    pseudo-packet.  The slice's verdict is always [Drop] and is
+    discarded — replay mutates state, it does not emit packets or op
+    events.  Allocates only what the slice's state operations do. *)
+
 val apply : replayer -> int array -> int -> unit
-(** Replay one digest segment at the given offset: reconstruct the
-    pseudo-packet and run the write-slice against the replica.  The
-    slice's verdict is always [Drop] and is discarded — replay mutates
-    state, it does not emit packets or op events. *)
+(** Replay one digest segment at the given offset: [replay] of
+    {!decode}, so it allocates one pseudo-packet beyond {!replay}. *)
 
 val apply_batch : replayer -> int array -> npkts:int -> unit
-(** Replay a whole batch digest in order. *)
+(** Replay a whole batch digest in order: {!apply} per packet, nothing
+    more. *)
 
 (** {1 Replica comparison} *)
 

@@ -22,6 +22,42 @@ let hostile_trace ~seed n =
         ~ts_ns:(i * Random.State.int rng 5_000_000)
         ())
 
+(* Every packet tunnelled, GRE or VXLAN, over random tunnel ids, inner
+   addresses, inner ports and inner TCP / UDP / other protocols: the
+   tunnel and inner-field slots of the digest that [hostile_trace] never
+   reaches.  Small ranges, so flows and tunnels collide and state is hit. *)
+let tunnel_trace ~seed n =
+  let rng = Random.State.make [| seed |] in
+  let int = Random.State.int rng in
+  Array.init n (fun i ->
+      let kind = if Random.State.bool rng then Packet.Pkt.Gre else Packet.Pkt.Vxlan in
+      let in_proto =
+        match int 3 with
+        | 0 -> Packet.Pkt.Tcp
+        | 1 -> Packet.Pkt.Udp
+        | _ -> Packet.Pkt.Other (1 + int 5)
+      in
+      let port () = match in_proto with Packet.Pkt.Other _ -> 0 | _ -> int 4 in
+      let encap =
+        {
+          Packet.Pkt.default_encap with
+          kind;
+          tunnel_id = int 6;
+          in_ip_src = int 8;
+          in_ip_dst = int 8;
+          in_proto;
+          in_src_port = port ();
+          in_dst_port = port ();
+        }
+      in
+      let outer =
+        match kind with Packet.Pkt.Gre -> Packet.Pkt.Other 47 | Packet.Pkt.Vxlan -> Packet.Pkt.Udp
+      in
+      Packet.Pkt.make ~port:(int 2) ~proto:outer ~encap ~ip_src:(int 4) ~ip_dst:(int 4)
+        ~src_port:(int 4) ~dst_port:(int 4)
+        ~ts_ns:(i * int 5_000_000)
+        ())
+
 let verdicts_equal a b = Array.length a = Array.length b && Array.for_all2 ( = ) a b
 
 let writers () =
@@ -79,6 +115,17 @@ let test_lockstep_all_writers () =
       scr_differential nf.Dsl.Ast.name nf ~cores:4 (hostile_trace ~seed:13 2_000))
     (writers ())
 
+let test_lockstep_tunnels () =
+  let names = List.map (fun (nf : Dsl.Ast.t) -> nf.Dsl.Ast.name) (writers ()) in
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " is an SCR writer") true (List.mem name names))
+    [ "gre_peer"; "vxlan_fw" ];
+  List.iter
+    (fun (nf : Dsl.Ast.t) ->
+      scr_differential (nf.Dsl.Ast.name ^ " (tunnels)") nf ~cores:4 (tunnel_trace ~seed:19 2_000))
+    (writers ())
+
 (* --- qcheck: digest-apply ∘ digest-derive = identity on the write set ------- *)
 
 let replay_is_identity (nf : Dsl.Ast.t) trace =
@@ -104,10 +151,98 @@ let prop_digest_identity =
   QCheck.Test.make ~name:"digest replay is the identity on the write set" ~count:30
     QCheck.(pair small_nat (int_range 50 400))
     (fun (seed, n) ->
-      let trace = hostile_trace ~seed n in
+      let plain = hostile_trace ~seed n and tunnelled = tunnel_trace ~seed n in
       List.for_all
-        (fun (nf : Dsl.Ast.t) -> replay_is_identity nf trace)
+        (fun (nf : Dsl.Ast.t) -> replay_is_identity nf plain && replay_is_identity nf tunnelled)
         (List.map Nfs.Registry.find_exn Nfs.Registry.extended_names @ Nfs.Scenarios.all ()))
+
+(* --- qcheck: the staged digest layout ----------------------------------------- *)
+
+(* The digest segment of [p] is, in order, [Pkt.field_int p f] for every
+   spec field, then port, frame length and timestamp when the spec needs
+   them — the layout the ring, the log and the wire size all assume —
+   and decoding it gives back [p] on each of those. *)
+let layout_roundtrips ((spec : Maestro.Scrspec.t), prog) (p : Packet.Pkt.t) =
+  let stride = Runtime.Scr.ints_per_pkt prog in
+  let buf = Array.make (stride + 2) (-1) in
+  Runtime.Scr.encode prog p buf 1;
+  let extras =
+    List.filter_map
+      (fun (needed, v) -> if needed then Some v else None)
+      [
+        (spec.Maestro.Scrspec.needs_port, p.Packet.Pkt.port);
+        (spec.Maestro.Scrspec.needs_len, p.Packet.Pkt.size);
+        (spec.Maestro.Scrspec.needs_ts, p.Packet.Pkt.ts_ns);
+      ]
+  in
+  let expected = List.map (Packet.Pkt.field_int p) spec.Maestro.Scrspec.fields @ extras in
+  let q = Runtime.Scr.decode prog buf 1 in
+  Array.to_list (Array.sub buf 1 stride) = expected
+  && buf.(0) = -1
+  && buf.(stride + 1) = -1
+  && List.for_all
+       (fun f -> Packet.Pkt.field_int q f = Packet.Pkt.field_int p f)
+       spec.Maestro.Scrspec.fields
+  && ((not spec.Maestro.Scrspec.needs_port) || q.Packet.Pkt.port = p.Packet.Pkt.port)
+  && ((not spec.Maestro.Scrspec.needs_len) || q.Packet.Pkt.size = p.Packet.Pkt.size)
+  && ((not spec.Maestro.Scrspec.needs_ts) || q.Packet.Pkt.ts_ns = p.Packet.Pkt.ts_ns)
+
+let prop_decode_encode =
+  let progs =
+    List.map
+      (fun nf ->
+        let spec = Maestro.Scrspec.derive nf in
+        (spec, Runtime.Scr.prepare spec))
+      (List.map Nfs.Registry.find_exn Nfs.Registry.extended_names @ Nfs.Scenarios.all ())
+  in
+  QCheck.Test.make ~name:"decode inverts encode on the digest fields" ~count:50
+    QCheck.(pair small_nat (int_range 1 50))
+    (fun (seed, n) ->
+      let trace = Array.append (hostile_trace ~seed n) (tunnel_trace ~seed n) in
+      List.for_all (fun prog -> Array.for_all (layout_roundtrips prog) trace) progs)
+
+(* --- allocation: the per-packet digest path is closure-free ------------------- *)
+
+let minor_words f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+let test_digest_allocation () =
+  let nf = Nfs.Registry.find_exn "gre_peer" in
+  let spec =
+    match Maestro.Scrspec.admissible nf with Ok s -> s | Error e -> Alcotest.fail e
+  in
+  let prog = Runtime.Scr.prepare spec in
+  let stride = Runtime.Scr.ints_per_pkt prog in
+  let trace = tunnel_trace ~seed:5 4_096 in
+  (* 32-packet batches keep every digest on the minor heap *)
+  let batch = 32 in
+  let nb = Array.length trace / batch in
+  let digests = Array.make nb [||] in
+  let encode_all () =
+    for b = 0 to nb - 1 do
+      digests.(b) <- Runtime.Scr.encode_batch prog trace ~lo:(b * batch) ~len:batch
+    done
+  in
+  encode_all ();
+  let words = minor_words encode_all in
+  (* the digest arrays, one header word each, and nothing else *)
+  let expected = float_of_int (nb * ((batch * stride) + 1)) in
+  if words > expected then
+    Alcotest.failf "encode_batch allocated %.0f words, only its digests take %.0f" words
+      expected;
+  let rep = Runtime.Scr.bind prog (Dsl.Instance.create nf) in
+  let apply_all () =
+    for b = 0 to nb - 1 do
+      Runtime.Scr.apply_batch rep digests.(b) ~npkts:batch
+    done
+  in
+  apply_all ();
+  let per_pkt = minor_words apply_all /. float_of_int (nb * batch) in
+  if per_pkt > 25. then
+    Alcotest.failf "apply_batch allocated %.1f words/pkt, over one 25-word pseudo-packet"
+      per_pkt
 
 (* --- crash mid-stream: rebuild from the retained digest log ------------------ *)
 
@@ -238,7 +373,10 @@ let test_pool_scr_fault_plan () =
 let suite =
   [
     Alcotest.test_case "lockstep differential (all writers)" `Quick test_lockstep_all_writers;
+    Alcotest.test_case "lockstep differential (tunnels)" `Quick test_lockstep_tunnels;
     QCheck_alcotest.to_alcotest prop_digest_identity;
+    QCheck_alcotest.to_alcotest prop_decode_encode;
+    Alcotest.test_case "digest path allocation" `Quick test_digest_allocation;
     Alcotest.test_case "crash rebuild from digest log" `Quick test_rebuild_from_digest_log;
     Alcotest.test_case "parallel model matches oracle" `Quick
       test_parallel_model_matches_oracle;
