@@ -5,8 +5,8 @@
 
 let rng seed = Random.State.make [| seed |]
 
-let plan_of ?(cores = 8) name =
-  let request = { Maestro.Pipeline.default_request with cores } in
+let plan_of ?(cores = 8) ?(strategy = `Auto) name =
+  let request = { Maestro.Pipeline.default_request with cores; strategy } in
   (Maestro.Pipeline.parallelize_exn ~request (Nfs.Registry.find_exn name)).Maestro.Pipeline.plan
 
 let verdicts_equal a b =
@@ -116,6 +116,72 @@ let test_pool_agrees_with_study () =
     s.Runtime.Pool.migrated_flows;
   Alcotest.(check int) "no evictions" 0 s.Runtime.Pool.migration_drops
 
+(* --- barrier branches: shared state, replicas, forced write-offs ----------- *)
+
+let eager = Runtime.Balancer.On { Runtime.Balancer.epoch_pkts = 256; threshold = 0.0 }
+
+(* (d) lock-based plans share one instance: the balancer moves buckets but
+   never state.  LAN->WAN-only traffic keeps the verdicts order-insensitive
+   (the lock discipline serializes writes in acquisition order) *)
+let test_pool_rebalance_locks () =
+  let plan = plan_of ~cores:4 ~strategy:`Force_locks "fw" in
+  let trace = zipf_trace 44 ~pkts:4096 ~nflows:300 in
+  let seq = Runtime.Parallel.run_sequential (Nfs.Registry.find_exn "fw") trace in
+  let pool = Runtime.Pool.create ~cores:4 () in
+  Fun.protect ~finally:(fun () -> Runtime.Pool.shutdown pool) @@ fun () ->
+  let v = Runtime.Pool.run ~rebalance:eager pool plan trace in
+  let s = Runtime.Pool.stats pool in
+  Alcotest.(check bool) "balancer engaged" true (s.Runtime.Pool.rebalances >= 1);
+  Alcotest.(check int) "no state handed over" 0 s.Runtime.Pool.migrated_flows;
+  Alcotest.(check bool) "verdicts == sequential" true (verdicts_equal seq v)
+
+(* (e) load-balance replicas are read-only copies: nothing ever migrates *)
+let test_pool_rebalance_load_balance () =
+  let plan = plan_of ~cores:4 "sbridge" in
+  Alcotest.(check bool) "sbridge plans load-balance" true
+    (plan.Maestro.Plan.strategy = Maestro.Plan.Load_balance);
+  let trace = zipf_trace 45 ~reply_fraction:0.3 ~pkts:4096 ~nflows:300 in
+  let seq = Runtime.Parallel.run_sequential (Nfs.Registry.find_exn "sbridge") trace in
+  let pool = Runtime.Pool.create ~cores:4 () in
+  Fun.protect ~finally:(fun () -> Runtime.Pool.shutdown pool) @@ fun () ->
+  let v = Runtime.Pool.run ~rebalance:eager pool plan trace in
+  let s = Runtime.Pool.stats pool in
+  Alcotest.(check int) "replicas never migrate" 0 s.Runtime.Pool.migrated_flows;
+  Alcotest.(check bool) "verdicts == sequential" true (verdicts_equal seq v)
+
+(* (f) a permanent write-off mid-run forces a rebalance at the next
+   barrier: the dead core's buckets and flow state move to live cores *)
+let test_pool_forced_rebalance () =
+  let plan = plan_of ~cores:4 "fw" in
+  let trace = zipf_trace 46 ~reply_fraction:0.3 ~pkts:4096 ~nflows:300 in
+  let seq = Runtime.Parallel.run_sequential (Nfs.Registry.find_exn "fw") trace in
+  (match Faults.parse "crash@1:0x1000000" with
+  | Ok p -> Faults.install p
+  | Error e -> Alcotest.fail e);
+  Fun.protect ~finally:Faults.clear @@ fun () ->
+  let pool =
+    Runtime.Pool.create
+      ~supervisor:{ Runtime.Supervisor.default_config with max_restarts = 0 }
+      ~cores:4 ()
+  in
+  Fun.protect ~finally:(fun () -> Runtime.Pool.shutdown pool) @@ fun () ->
+  let v = Runtime.Pool.run ~rebalance:eager pool plan trace in
+  let s = Runtime.Pool.stats pool in
+  Alcotest.(check (list int)) "core 1 written off" [ 1 ] s.Runtime.Pool.failed_cores;
+  Alcotest.(check bool) "write-off forced a rebalance" true
+    (s.Runtime.Pool.forced_rebalances >= 1);
+  let dead_after =
+    match s.Runtime.Pool.last_rebalance_points with
+    | [] -> Alcotest.fail "no rebalance point recorded"
+    | p :: _ ->
+        let n = ref 0 in
+        Array.iteri (fun i c -> if i >= p && c = 1 then incr n) s.Runtime.Pool.last_assignment;
+        !n
+  in
+  Alcotest.(check int) "no packet on the dead core after the first point" 0 dead_after;
+  Alcotest.(check int) "zero flow-ordering violations" 0 (ordering_violations trace s);
+  Alcotest.(check bool) "verdicts == sequential" true (verdicts_equal seq v)
+
 (* --- typed errors + mode parsing ------------------------------------------- *)
 
 let test_study_short_trace_error () =
@@ -168,6 +234,11 @@ let suite =
     QCheck_alcotest.to_alcotest prop_rebalance_remap_avoids_dead;
     Alcotest.test_case "pool migration counters agree with the study" `Slow
       test_pool_agrees_with_study;
+    Alcotest.test_case "pool rebalance on a lock plan moves no state" `Slow
+      test_pool_rebalance_locks;
+    Alcotest.test_case "pool rebalance never migrates load-balance replicas" `Slow
+      test_pool_rebalance_load_balance;
+    Alcotest.test_case "pool write-off forces a rebalance" `Slow test_pool_forced_rebalance;
     Alcotest.test_case "study rejects short traces with a typed error" `Quick
       test_study_short_trace_error;
     Alcotest.test_case "balancer mode parsing" `Quick test_balancer_parse;
