@@ -40,6 +40,12 @@ case "${1:?usage: cli_smoke.sh <matrix-entry-name>}" in
     cli run fw --cores 4 --pkts 4000 --flows 200 --discipline scr | tee cli-scr.txt
     grep -q 'pool sequential agreement: 4000/4000' cli-scr.txt
     grep -q 'state-compute-replication' cli-scr.txt
+    # A static SCR run that loses a worker rebuilds its replica from the
+    # digest log and still agrees with the sequential NF.
+    cli run fw --cores 4 --pkts 4000 --flows 200 --discipline scr --fault-plan 'crash@1:2' \
+      | tee cli-scr-crash.txt
+    grep -q '1 replica rebuilds' cli-scr-crash.txt
+    grep -q 'pool sequential agreement: 4000/4000' cli-scr-crash.txt
     ;;
 
   adaptive)

@@ -1,11 +1,10 @@
 (* Persistent worker-domain pool fed by bounded SPSC rings of packet
-   batches.  Spawning an OCaml domain costs tens of microseconds — paid on
-   every call by the old spawn-per-run [Domains] entry points, which
-   dominated short runs the way per-packet dispatch cost dominates the
-   stateful-NF studies this repo models.  The pool spawns [cores] domains
-   once and feeds them DPDK-burst-style batches (default 32 packets)
-   through single-producer single-consumer rings, so repeated runs pay
-   only the enqueue/dequeue cost.
+   batches.  Spawning an OCaml domain costs tens of microseconds, which
+   would dominate short runs the way per-packet dispatch cost dominates
+   the stateful-NF studies this repo models.  The pool spawns [cores]
+   domains once and feeds them DPDK-burst-style batches (default 32
+   packets) through single-producer single-consumer rings, so repeated
+   runs pay only the enqueue/dequeue cost.
 
    The pool is supervised (paper §4.4's failure story made executable):
    every worker loop runs behind an exception barrier; the producer — the
@@ -581,8 +580,7 @@ let stream t ~cores ~task ~remaining ~dispatch ~assignment ~per_core ~lo ~hi =
     if fill.(core) > 0 then hand_off core (Array.sub bufs.(core) 0 fill.(core))
   done
 
-(* The one producer-side hand-off of SCR, shared by the static arm and
-   the adaptive SCR rung: cut packets [lo, hi) into [batch_size] batches;
+(* The one producer-side hand-off of the SCR rung: cut packets [lo, hi) into [batch_size] batches;
    each goes whole to the next owner of the round-robin over the [live]
    cores ([rr] counts batches and is advanced here, so a caller that
    sprays in epochs keeps the rotation going across calls).  The
@@ -673,6 +671,11 @@ let wait_quiesce t ~cores remaining =
     Domain.cpu_relax ()
   done
 
+(* What a run does at its epoch barriers.  A static run is one epoch and
+   no barrier; [~rebalance] adds an RSS++ table move and [~adaptive] a
+   hysteresis rung switch, both over the same loop and rung state. *)
+type barrier = No_barrier | Rebalancing of Balancer.config | Adapting of Adaptive.t
+
 let run ?(rebalance = Balancer.Off) ?(adaptive = Adaptive.Off) (t : t) (plan : Maestro.Plan.t)
     pkts =
   Telemetry.Span.with_span "pool/run" @@ fun () ->
@@ -681,16 +684,25 @@ let run ?(rebalance = Balancer.Off) ?(adaptive = Adaptive.Off) (t : t) (plan : M
     invalid_arg
       (Printf.sprintf "Pool.run: plan wants %d cores but the pool has %d" cores t.cores);
   let nf = plan.Maestro.Plan.nf in
+  let nports = nf.Dsl.Ast.devices in
+  (* a foreign port is rejected the same way in every mode, before any
+     batch is handed off *)
+  for i = 0 to Array.length pkts - 1 do
+    let port = pkts.(i).Packet.Pkt.port in
+    if port < 0 || port >= nports then
+      invalid_arg
+        (Printf.sprintf "Pool.run: packet %d arrives on port %d but %s has %d ports" i port
+           nf.Dsl.Ast.name nports)
+  done;
   let info = Dsl.Check.check_exn nf in
   (* stage once per run, bind once per core: every worker gets its own
-     execution frame, over per-core state (shared-nothing) or the one
-     shared instance (lock/TM) *)
+     execution frame over the rung's instances *)
   let staged = Dsl.Compile.stage_runner nf info in
   let live = Array.init cores (fun c -> not (Atomic.get t.workers.(c).failed)) in
   if not (Array.exists Fun.id live) then
     invalid_arg "Pool.run: every core of the plan has failed permanently";
   let engines =
-    Array.init nf.Dsl.Ast.devices (fun port ->
+    Array.init nports (fun port ->
         let e = Maestro.Plan.rss_engine plan port in
         if Array.for_all Fun.id live then e
         else begin
@@ -704,336 +716,380 @@ let run ?(rebalance = Balancer.Off) ?(adaptive = Adaptive.Off) (t : t) (plan : M
   let verdicts = Array.make npkts Dsl.Interp.Dropped in
   let remaining = Atomic.make 0 in
   let strategy = plan.Maestro.Plan.strategy in
-  let finish assignment points per_core =
-    t.runs <- t.runs + 1;
-    t.total_pkts <- t.total_pkts + npkts;
-    t.last_per_core <- per_core;
-    t.last_assignment <- assignment;
-    t.last_points <- List.rev points;
-    let total = Array.fold_left ( + ) 0 per_core in
-    t.last_share <-
-      (if total = 0 then Array.make cores 0.
-       else Array.map (fun c -> float_of_int c /. float_of_int total) per_core);
-    Telemetry.Counter.add c_pkts npkts;
-    verdicts
-  in
-  match adaptive with
-  | Adaptive.On acfg ->
-      if rebalance <> Balancer.Off then
-        invalid_arg "Pool.run: --adaptive and --rebalance are mutually exclusive";
-      (* ---- adaptive discipline switching ------------------------------
-         The run is driven in epochs; at every epoch barrier — the quiesce
-         point PR 5 introduced, where nothing is in flight — a hysteresis
-         controller ({!Adaptive}) looks at the epoch's statistics and may
-         switch the live pool to an adjacent admissible ladder rung.  All
-         rungs run over FULL-capacity instances (divide 1): a conversion
-         must never lose entries to a smaller target, so the adaptive pool
-         trades the static shards' memory savings for lossless switches.
-
-         Representation: [insts] always has [cores] slots, whose meaning
-         depends on the rung — per-core shards (shared-nothing), full
-         replicas (SCR), or one shared instance aliased into every slot
-         (lock-based and serial). *)
-      let size = Nic.Reta.size (Nic.Rss.reta engines.(0)) in
-      if Array.exists (fun e -> Nic.Reta.size (Nic.Rss.reta e) <> size) engines then
-        invalid_arg "Pool.run: adaptive switching requires equal-size port indirection tables";
-      let table = ref (Nic.Rss.reta engines.(0)) in
-      let set_table tab =
-        table := tab;
-        Array.iteri (fun p e -> engines.(p) <- Nic.Rss.with_reta e tab) engines
-      in
-      set_table !table;
-      let mask = size - 1 in
-      let nports = Array.length engines in
-      let hash_pkt (pk : Packet.Pkt.t) =
-        let port = if pk.Packet.Pkt.port < nports then pk.Packet.Pkt.port else 0 in
-        Nic.Rss.hash_int engines.(port) pk
-      in
-      let migration_hash pk =
-        let h = hash_pkt pk in
-        if h < 0 then None else Some h
-      in
-      let mplan = Balancer.migration_plan nf in
-      (* shared-nothing participates only when the migration is exact AND
-         skips nothing: shard merges/splits rebuild state in fresh
-         instances, so even a skipped sketch (harmless to RSS++ bucket
-         moves, which leave it in place) would be silently reset here *)
-      let exact_migration = Balancer.exact mplan && Balancer.skipped_objects mplan = [] in
-      let scr_spec =
-        match Maestro.Scrspec.admissible nf with Ok s -> Some s | Error _ -> None
-      in
-      let ladder =
+  let mplan = lazy (Balancer.migration_plan nf) in
+  let scr_spec, barrier, epoch_pkts =
+    match (adaptive, rebalance, strategy) with
+    | Adaptive.On _, Balancer.On _, _ ->
+        invalid_arg "Pool.run: --adaptive and --rebalance are mutually exclusive"
+    | Adaptive.On acfg, Balancer.Off, _ -> (
+        let scr_spec = Result.to_option (Maestro.Scrspec.admissible nf) in
+        (* shared-nothing participates only when the migration is exact AND
+           skips nothing: shard merges/splits rebuild state in fresh
+           instances, so even a skipped sketch (harmless to RSS++ bucket
+           moves, which leave it in place) would be silently reset here *)
+        let m = Lazy.force mplan in
+        let exact_migration = Balancer.exact m && Balancer.skipped_objects m = [] in
         match Adaptive.ladder ~strategy ~scr_ok:(scr_spec <> None) ~exact_migration with
-        | Ok l -> l
-        | Error e -> invalid_arg ("Pool.run: " ^ e)
-      in
-      let ctl = Adaptive.create acfg ~ladder in
-      let scr_prog = Option.map Scr.prepare scr_spec in
-      let writes = nf_statically_writes nf in
-      let lock = Rwlock.create ~cores in
-      let fresh () = Dsl.Instance.create nf in
-      let insts =
-        ref
-          (match Adaptive.rung ctl with
-          | Maestro.Ladder.Shared_nothing | Maestro.Ladder.Scr ->
-              (* independent [create]s are structurally identical, so SCR
-                 replicas start in lockstep *)
-              Array.init cores (fun _ -> fresh ())
-          | Maestro.Ladder.Lock_based | Maestro.Ladder.Serial ->
-              let sh = fresh () in
-              Array.make cores sh)
-      in
-      let runners = Array.map (Dsl.Compile.bind_runner staged) !insts in
-      let replayers : Scr.replayer option array = Array.make cores None in
-      (* SCR support state, reset at every SCR entry: the pristine seeded
-         replica and the digest log since entry, for crash rebuilds *)
-      let snapshot = ref None in
-      let log = ref (Array.make 64 [||]) in
-      let log_npkts = ref (Array.make 64 0) in
-      let log_len = ref 0 in
-      let applied = Array.make cores 0 in
-      let push_log digest len =
-        if !log_len = Array.length !log then begin
-          let ncap = 2 * !log_len in
-          let nl = Array.make ncap [||] and nn = Array.make ncap 0 in
-          Array.blit !log 0 nl 0 !log_len;
-          Array.blit !log_npkts 0 nn 0 !log_len;
-          log := nl;
-          log_npkts := nn
-        end;
-        !log.(!log_len) <- digest;
-        !log_npkts.(!log_len) <- len;
-        incr log_len
-      in
-      let first_live () =
-        let rec go c = if c >= cores then 0 else if live.(c) then c else go (c + 1) in
-        go 0
-      in
-      (* (re)bind the execution frames for rung [r] over the current
-         [insts]; must run at a quiesce point (or, for one core, from the
-         crash hook after the dead domain was joined) *)
-      let enter r =
-        Array.iteri (fun c inst -> runners.(c) <- Dsl.Compile.bind_runner staged inst) !insts;
-        match r with
-        | Maestro.Ladder.Scr ->
-            let prog = Option.get scr_prog in
-            Array.iteri (fun c inst -> replayers.(c) <- Some (Scr.bind prog inst)) !insts;
-            snapshot := Some (Dsl.Instance.copy !insts.(first_live ()));
-            log_len := 0;
-            Array.fill applied 0 cores 0
-        | Maestro.Ladder.Shared_nothing | Maestro.Ladder.Lock_based | Maestro.Ladder.Serial
-          ->
-            Array.fill replayers 0 cores None
-      in
-      let account (o : Balancer.outcome) =
-        t.migrated_flows <- t.migrated_flows + o.Balancer.moved_flows;
-        t.migration_drops <- t.migration_drops + o.Balancer.dropped_flows;
-        Telemetry.Counter.add c_moved_flows o.Balancer.moved_flows;
-        Telemetry.Counter.add c_migration_drops o.Balancer.dropped_flows
-      in
-      (* collapse the current rung's state into ONE full instance *)
-      let collapse from_r =
-        match from_r with
-        | Maestro.Ladder.Shared_nothing ->
-            (* merge every shard into a fresh full instance: the migration
-               executor already knows how to re-home a flow's entries, so
-               point every bucket at slot 0 (the merged instance) and let
-               the shards at slots 1..cores empty themselves into it *)
-            let merged = fresh () in
-            account
-              (Balancer.migrate mplan
-                 ~hash:(fun _ -> Some 0)
-                 ~mask:0
-                 ~dest:(fun _ -> 0)
-                 ~instances:(Array.append [| merged |] !insts));
-            merged
-        | Maestro.Ladder.Scr ->
-            (* collapse replicas to one: sound only if the live replicas
-               agree — which the SCR contract guarantees at a quiesce
-               point, and crash rebuilds restore before we get here *)
-            let spec = Option.get scr_spec in
-            let base = first_live () in
-            for c = 0 to cores - 1 do
-              if
-                live.(c) && c <> base
-                && not (Scr.replica_equal spec !insts.(base) !insts.(c))
-              then invalid_arg "Pool.run: SCR replicas diverged at a discipline switch"
-            done;
-            !insts.(base)
-        | Maestro.Ladder.Lock_based | Maestro.Ladder.Serial -> !insts.(0)
-      in
-      let convert from_r to_r =
-        match to_r with
-        | Maestro.Ladder.Shared_nothing ->
-            (* split one full instance into per-core shards along the
-               live indirection table; slot 0 reuses the merged instance
-               (its surplus entries migrate out, anything undecodable —
-               static init entries — is already in every fresh shard) *)
-            let merged = collapse from_r in
-            let shards = Array.init cores (fun c -> if c = 0 then merged else fresh ()) in
-            let dentries = Nic.Reta.entries !table in
-            account
-              (Balancer.migrate mplan ~hash:migration_hash ~mask
-                 ~dest:(fun b -> dentries.(b))
-                 ~instances:shards);
-            insts := shards
-        | Maestro.Ladder.Scr ->
-            (* seed every replica from the collapsed state; exact copies
-               ({!Dsl.Instance.copy}) keep the replicas in lockstep *)
-            let base = collapse from_r in
-            insts :=
-              Array.init cores (fun c -> if c = 0 then base else Dsl.Instance.copy base)
-        | Maestro.Ladder.Lock_based | Maestro.Ladder.Serial ->
-            insts := Array.make cores (collapse from_r)
-      in
-      let task_direct core lo len =
-        {
-          npkts = len;
-          run =
-            (fun () ->
-              let r = runners.(core) in
-              for i = lo to lo + len - 1 do
-                verdicts.(i) <- Dsl.Compile.run r pkts.(i)
-              done;
-              Atomic.decr remaining);
-        }
-      in
-      let task_direct_ixs core indices =
-        {
-          npkts = Array.length indices;
-          run =
-            (fun () ->
-              let r = runners.(core) in
-              Array.iter (fun i -> verdicts.(i) <- Dsl.Compile.run r pkts.(i)) indices;
-              Atomic.decr remaining);
-        }
-      in
-      let task_locked core indices =
-        {
-          npkts = Array.length indices;
-          run =
-            (fun () ->
-              let r = runners.(core) in
-              Array.iter
-                (fun i ->
-                  if writes then
-                    Rwlock.with_write lock (fun () ->
-                        verdicts.(i) <- Dsl.Compile.run r pkts.(i))
-                  else
-                    Rwlock.with_read lock ~core (fun () ->
-                        verdicts.(i) <- Dsl.Compile.run r pkts.(i)))
-                indices;
-              Atomic.decr remaining);
-        }
-      in
-      enter (Adaptive.rung ctl);
-      t.scr_crash_hook <-
-        Some
-          (fun core ->
-            if Adaptive.rung ctl = Maestro.Ladder.Scr then begin
-              t.scr_rebuilds <- t.scr_rebuilds + 1;
-              Telemetry.Counter.incr c_scr_rebuilds;
-              (* rebuild from the seeded snapshot, not initial state: the
-                 replica was seeded by a conversion mid-run *)
-              let base = match !snapshot with Some s -> s | None -> assert false in
-              !insts.(core) <- Dsl.Instance.copy base;
-              runners.(core) <- Dsl.Compile.bind_runner staged !insts.(core);
-              let prog = Option.get scr_prog in
-              replayers.(core) <- Some (Scr.bind prog !insts.(core));
-              let rp = Option.get replayers.(core) in
-              for b = 0 to applied.(core) - 1 do
-                Scr.apply_batch rp !log.(b) ~npkts:(!log_npkts).(b)
-              done
-            end)
-      ;
-      Fun.protect ~finally:(fun () -> t.scr_crash_hook <- None) @@ fun () ->
-      let assignment = Array.make npkts 0 in
-      let per_core = Array.make cores 0 in
-      let rss_counts = Array.make cores 0 in
-      let points = ref [] in
-      let rr = ref 0 in
-      let pos = ref 0 in
-      let drops0 = ref t.dropped_batches in
-      let restarts0 = ref (Supervisor.restarts t.supervisor) in
-      let digest0 = ref t.scr_digest_bytes in
-      while !pos < npkts do
-        let lo = !pos in
-        let hi = min (lo + acfg.Adaptive.epoch_pkts) npkts in
-        (* would-be RSS dispatch counts, computed in EVERY rung: SCR's
-           round-robin spray and the serial funnel hide traffic skew from
-           the actual dispatch counts, but the controller must see the
-           imbalance the shared-nothing rung WOULD suffer *)
-        Array.fill rss_counts 0 cores 0;
-        let rss_dispatch i =
-          let h = hash_pkt pkts.(i) in
-          let q = if h < 0 then 0 else Nic.Reta.lookup !table h in
-          rss_counts.(q) <- rss_counts.(q) + 1;
-          q
+        | Ok ladder -> (scr_spec, Adapting (Adaptive.create acfg ~ladder), acfg.Adaptive.epoch_pkts)
+        | Error e -> invalid_arg ("Pool.run: " ^ e))
+    | Adaptive.Off, _, Maestro.Plan.Scr -> (
+        (* SCR sprays round-robin: there is no RSS table to rebalance *)
+        match Maestro.Scrspec.admissible nf with
+        | Ok spec -> (Some spec, No_barrier, max 1 npkts)
+        | Error e ->
+            invalid_arg
+              (Printf.sprintf "Pool.run: SCR plan for %s but %s" nf.Dsl.Ast.name e))
+    | Adaptive.Off, Balancer.On cfg, _ -> (None, Rebalancing cfg, cfg.Balancer.epoch_pkts)
+    | Adaptive.Off, Balancer.Off, _ -> (None, No_barrier, max 1 npkts)
+  in
+  (* ONE table shared by all ports under a barrier policy: Maestro's
+     symmetric per-port keys give both directions of a flow the same hash,
+     hence the same bucket on every port, so a single table keeps each
+     flow on exactly one core no matter the arrival port *)
+  let table = ref (Nic.Rss.reta engines.(0)) in
+  let size = Nic.Reta.size !table in
+  let mask = size - 1 in
+  let set_table tab =
+    table := tab;
+    Array.iteri (fun p e -> engines.(p) <- Nic.Rss.with_reta e tab) engines
+  in
+  (match barrier with
+  | No_barrier -> ()
+  | Rebalancing _ | Adapting _ ->
+      if Array.exists (fun e -> Nic.Reta.size (Nic.Rss.reta e) <> size) engines then
+        invalid_arg "Pool.run: rebalancing and adaptive switching require equal-size port tables";
+      set_table !table);
+  (* ---- rung state ------------------------------------------------------
+     A static plan maps onto its ladder rung: shared-nothing and
+     load-balance get per-core instances, lock/TM one shared instance under
+     the {!Rwlock}, SCR full replicas.  [insts] always has [cores] slots —
+     per-core instances, replicas, or one instance aliased into every slot
+     (lock-based and serial).  Static runs size them by the plan; adaptive
+     runs keep FULL capacity, so a conversion never loses entries to a
+     smaller target. *)
+  let rung =
+    ref
+      (match (barrier, strategy) with
+      | Adapting ctl, _ -> Adaptive.rung ctl
+      | _, (Maestro.Plan.Shared_nothing | Maestro.Plan.Load_balance) ->
+          Maestro.Ladder.Shared_nothing
+      | _, Maestro.Plan.Scr -> Maestro.Ladder.Scr
+      | _, (Maestro.Plan.Lock_based | Maestro.Plan.Tm_based) -> Maestro.Ladder.Lock_based)
+  in
+  let divide =
+    match barrier with
+    | Adapting _ -> 1
+    | No_barrier | Rebalancing _ -> Maestro.Plan.state_divisor plan
+  in
+  let fresh () = Dsl.Instance.create ~divide nf in
+  let insts =
+    ref
+      (match !rung with
+      | Maestro.Ladder.Shared_nothing | Maestro.Ladder.Scr ->
+          (* independent [create]s are structurally identical, so SCR
+             replicas start in lockstep *)
+          Array.init cores (fun _ -> fresh ())
+      | Maestro.Ladder.Lock_based | Maestro.Ladder.Serial -> Array.make cores (fresh ()))
+  in
+  let runners = Array.map (Dsl.Compile.bind_runner staged) !insts in
+  let writes = nf_statically_writes nf in
+  let lock = Rwlock.create ~cores in
+  (* the one batch task of the RSS-steered rungs *)
+  let batch_task ~locked core indices =
+    let r = runners.(core) in
+    let run =
+      if locked then fun () ->
+        Array.iter
+          (fun i ->
+            if writes then
+              Rwlock.with_write lock (fun () -> verdicts.(i) <- Dsl.Compile.run r pkts.(i))
+            else
+              Rwlock.with_read lock ~core (fun () -> verdicts.(i) <- Dsl.Compile.run r pkts.(i)))
+          indices;
+        Atomic.decr remaining
+      else fun () ->
+        Array.iter (fun i -> verdicts.(i) <- Dsl.Compile.run r pkts.(i)) indices;
+        Atomic.decr remaining
+    in
+    { npkts = Array.length indices; run }
+  in
+  (* SCR support: replayers, and the digest log since SCR entry (sized for
+     every batch the run can spray) for crash rebuilds.  [applied] counts
+     the logged batches each core fully applied; written by whoever runs
+     the task, read by the producer only after joining a dead domain. *)
+  let scr_prog = Option.map Scr.prepare scr_spec in
+  let replayers : Scr.replayer option array = Array.make cores None in
+  let bind_replayers () =
+    match scr_prog with
+    | Some prog when !rung = Maestro.Ladder.Scr ->
+        Array.iteri (fun c inst -> replayers.(c) <- Some (Scr.bind prog inst)) !insts
+    | _ -> Array.fill replayers 0 cores None
+  in
+  bind_replayers ();
+  let log_cap =
+    if scr_prog = None then 0
+    else ((npkts + t.batch_size - 1) / t.batch_size) + ((npkts + epoch_pkts - 1) / epoch_pkts)
+  in
+  let log = Array.make log_cap [||] and log_npkts = Array.make log_cap 0 and log_len = ref 0 in
+  let push_log digest len =
+    log.(!log_len) <- digest;
+    log_npkts.(!log_len) <- len;
+    incr log_len
+  in
+  let applied = Array.make cores 0 in
+  (* the seeded replica of an SCR entry by conversion; [None]: start-up state *)
+  let snapshot = ref None in
+  let first_live () =
+    let rec go c = if c >= cores then 0 else if live.(c) then c else go (c + 1) in
+    go 0
+  in
+  (* ---- migration --------------------------------------------------------- *)
+  let account (o : Balancer.outcome) =
+    t.migrated_flows <- t.migrated_flows + o.Balancer.moved_flows;
+    t.migration_drops <- t.migration_drops + o.Balancer.dropped_flows;
+    Telemetry.Counter.add c_moved_flows o.Balancer.moved_flows;
+    Telemetry.Counter.add c_migration_drops o.Balancer.dropped_flows
+  in
+  (* state-rebuilt pseudo-packets carry whatever port the key decodes to *)
+  let migration_hash (pk : Packet.Pkt.t) =
+    let port = if pk.Packet.Pkt.port < nports then pk.Packet.Pkt.port else 0 in
+    let h = Nic.Rss.hash_int engines.(port) pk in
+    if h < 0 then None else Some h
+  in
+  (* hand [instances]' flow state to the cores [candidate] gives its buckets *)
+  let migrate_along candidate instances =
+    let dentries = Nic.Reta.entries candidate in
+    account
+      (Balancer.migrate (Lazy.force mplan) ~hash:migration_hash ~mask
+         ~dest:(fun b -> dentries.(b))
+         ~instances)
+  in
+  (* per-core flow state — not load-balance's read-only replicas *)
+  let sharded () = !rung = Maestro.Ladder.Shared_nothing && strategy <> Maestro.Plan.Load_balance in
+  (* adopt [candidate]; sharded state follows its buckets when the
+     migration is exact, and is otherwise stranded as in a plain remap *)
+  let retable candidate =
+    if sharded () && Balancer.exact (Lazy.force mplan) then migrate_along candidate !insts;
+    set_table candidate
+  in
+  (* ---- adaptive conversions ---------------------------------------------- *)
+  (* collapse the current rung's state into ONE full instance *)
+  let collapse () =
+    match !rung with
+    | Maestro.Ladder.Shared_nothing ->
+        (* merge every shard into a fresh full instance: the migration
+           executor already knows how to re-home a flow's entries, so
+           point every bucket at slot 0 (the merged instance) and let
+           the shards at slots 1..cores empty themselves into it *)
+        let merged = fresh () in
+        account
+          (Balancer.migrate (Lazy.force mplan)
+             ~hash:(fun _ -> Some 0)
+             ~mask:0
+             ~dest:(fun _ -> 0)
+             ~instances:(Array.append [| merged |] !insts));
+        merged
+    | Maestro.Ladder.Scr ->
+        (* collapse replicas to one: sound only if the live replicas
+           agree — which the SCR contract guarantees at a quiesce
+           point, and crash rebuilds restore before we get here *)
+        let spec = Option.get scr_spec in
+        let base = first_live () in
+        for c = 0 to cores - 1 do
+          if live.(c) && c <> base && not (Scr.replica_equal spec !insts.(base) !insts.(c)) then
+            invalid_arg "Pool.run: SCR replicas diverged at a discipline switch"
+        done;
+        !insts.(base)
+    | Maestro.Ladder.Lock_based | Maestro.Ladder.Serial -> !insts.(0)
+  in
+  let convert to_r =
+    match to_r with
+    | Maestro.Ladder.Shared_nothing ->
+        (* split one full instance into per-core shards along the live
+           indirection table; slot 0 reuses the merged instance (its
+           surplus entries migrate out, anything undecodable — static
+           init entries — is already in every fresh shard) *)
+        let merged = collapse () in
+        let shards = Array.init cores (fun c -> if c = 0 then merged else fresh ()) in
+        migrate_along !table shards;
+        insts := shards
+    | Maestro.Ladder.Scr ->
+        (* seed every replica from the collapsed state; exact copies
+           ({!Dsl.Instance.copy}) keep the replicas in lockstep *)
+        let base = collapse () in
+        snapshot := Some (Dsl.Instance.copy base);
+        insts := Array.init cores (fun c -> if c = 0 then base else Dsl.Instance.copy base)
+    | Maestro.Ladder.Lock_based | Maestro.Ladder.Serial ->
+        insts := Array.make cores (collapse ())
+  in
+  (* rebind the execution frames for rung [r] over the current [insts];
+     runs at a quiesce point *)
+  let enter r =
+    rung := r;
+    Array.iteri (fun c inst -> runners.(c) <- Dsl.Compile.bind_runner staged inst) !insts;
+    bind_replayers ();
+    log_len := 0;
+    Array.fill applied 0 cores 0
+  in
+  (* join every dead domain; [true] when a core was newly written off *)
+  let reap () =
+    let newly_dead = ref false in
+    for core = 0 to cores - 1 do
+      match ensure_live t t.workers.(core) with
+      | `Failed ->
+          if live.(core) then begin
+            live.(core) <- false;
+            newly_dead := true
+          end
+      | `Ok -> ()
+    done;
+    !newly_dead
+  in
+  (* ---- dispatch ---------------------------------------------------------- *)
+  (* a static run dispatches exactly what the NIC does in hardware *)
+  let nic_dispatch i =
+    let p = pkts.(i) in
+    Nic.Rss.dispatch engines.(p.Packet.Pkt.port) p
+  in
+  (* a barrier policy also counts, on the producer next to the dispatch it
+     already performs — zero worker-side cost, and deterministic (CI gates
+     compare the resulting counters): per-bucket load for the balancer and
+     per-core would-be RSS counts.  Counted in EVERY rung: SCR's
+     round-robin spray and the serial funnel hide skew from the actual
+     dispatch, but the controller must see the imbalance the
+     shared-nothing rung WOULD suffer. *)
+  let counting = match barrier with No_barrier -> false | Rebalancing _ | Adapting _ -> true in
+  let bucket_loads = Array.make (if counting then size else 0) 0.0 in
+  let counts = Array.make cores 0 in
+  let counted_dispatch i =
+    let p = pkts.(i) in
+    let h = Nic.Rss.hash_int engines.(p.Packet.Pkt.port) p in
+    let q =
+      if h < 0 then 0
+      else begin
+        let b = h land mask in
+        bucket_loads.(b) <- bucket_loads.(b) +. 1.0;
+        Nic.Reta.lookup !table h
+      end
+    in
+    counts.(q) <- counts.(q) + 1;
+    q
+  in
+  (* ---- the epoch driver -------------------------------------------------- *)
+  t.scr_crash_hook <-
+    Option.map
+      (fun prog core ->
+        if !rung = Maestro.Ladder.Scr then begin
+          t.scr_rebuilds <- t.scr_rebuilds + 1;
+          Telemetry.Counter.incr c_scr_rebuilds;
+          (* rebuild from the seeded snapshot (a conversion seeded the
+             replicas mid-run) or start-up state, then rebind the full
+             runner and the replayer: compiled runners capture the state
+             containers eagerly, so a stale binding would replay into the
+             orphaned pre-crash state *)
+          (match !snapshot with
+          | Some base -> !insts.(core) <- Dsl.Instance.copy base
+          | None -> Dsl.Instance.reset !insts.(core) nf);
+          runners.(core) <- Dsl.Compile.bind_runner staged !insts.(core);
+          let rp = Scr.bind prog !insts.(core) in
+          replayers.(core) <- Some rp;
+          for b = 0 to applied.(core) - 1 do
+            Scr.apply_batch rp log.(b) ~npkts:log_npkts.(b)
+          done
+        end)
+      scr_prog;
+  Fun.protect ~finally:(fun () -> t.scr_crash_hook <- None) @@ fun () ->
+  let assignment = Array.make npkts 0 in
+  let per_core = Array.make cores 0 in
+  let points = ref [] in
+  let rr = ref 0 in
+  let pos = ref 0 in
+  let drops0 = ref t.dropped_batches in
+  let restarts0 = ref (Supervisor.restarts t.supervisor) in
+  let digest0 = ref t.scr_digest_bytes in
+  while !pos < npkts do
+    let lo = !pos in
+    let hi = min (lo + epoch_pkts) npkts in
+    Array.fill bucket_loads 0 (Array.length bucket_loads) 0.0;
+    Array.fill counts 0 cores 0;
+    (match !rung with
+    | Maestro.Ladder.Scr ->
+        if counting then
+          for i = lo to hi - 1 do
+            ignore (counted_dispatch i)
+          done;
+        spray t ~prog:(Option.get scr_prog) ~live ~rr ~log:push_log
+          ~replay:(fun core digest len ->
+            match replayers.(core) with
+            | Some rp -> Scr.apply_batch rp digest ~npkts:len
+            | None -> ())
+          ~runners ~applied ~pkts ~verdicts ~remaining ~assignment ~per_core ~lo ~hi
+    | (Maestro.Ladder.Shared_nothing | Maestro.Ladder.Lock_based | Maestro.Ladder.Serial) as r ->
+        let dispatch =
+          match (barrier, r) with
+          | No_barrier, _ -> nic_dispatch
+          | _, Maestro.Ladder.Serial ->
+              (* the serial funnel: every packet to the first live core *)
+              let core = first_live () in
+              fun i ->
+                ignore (counted_dispatch i);
+                core
+          | _ -> counted_dispatch
         in
-        (match Adaptive.rung ctl with
-        | Maestro.Ladder.Shared_nothing ->
-            stream t ~cores ~task:task_direct_ixs ~remaining ~dispatch:rss_dispatch ~assignment
-              ~per_core ~lo ~hi
-        | Maestro.Ladder.Lock_based ->
-            stream t ~cores ~task:task_locked ~remaining ~dispatch:rss_dispatch ~assignment
-              ~per_core ~lo ~hi
-        | Maestro.Ladder.Serial ->
-            for i = lo to hi - 1 do
-              ignore (rss_dispatch i)
-            done;
-            let core = first_live () in
-            Array.fill assignment lo (hi - lo) core;
-            per_core.(core) <- per_core.(core) + (hi - lo);
-            let p = ref lo in
-            while !p < hi do
-              let len = min t.batch_size (hi - !p) in
-              Atomic.incr remaining;
-              (match submit t ~core (task_direct core !p len) with
-              | `Pushed | `Inline -> ()
-              | `Dropped -> Atomic.decr remaining);
-              p := !p + len
-            done
-        | Maestro.Ladder.Scr ->
-            for i = lo to hi - 1 do
-              ignore (rss_dispatch i)
-            done;
-            spray t ~prog:(Option.get scr_prog) ~live ~rr ~log:push_log
-              ~replay:(fun core digest len ->
-                match replayers.(core) with
-                | Some rp -> Scr.apply_batch rp digest ~npkts:len
-                | None -> ())
-              ~runners ~applied ~pkts ~verdicts ~remaining ~assignment ~per_core ~lo ~hi);
-        (* the epoch barrier IS the quiesce point *)
-        wait_quiesce t ~cores remaining;
-        pos := hi;
+        stream t ~cores
+          ~task:(batch_task ~locked:(r = Maestro.Ladder.Lock_based))
+          ~remaining ~dispatch ~assignment ~per_core ~lo ~hi);
+    (* the epoch barrier IS the quiesce point: nothing is in flight when
+       the table changes, state moves or the rung switches, so per-flow
+       order is preserved by construction (FIFO per core within an epoch) *)
+    wait_quiesce t ~cores remaining;
+    pos := hi;
+    match barrier with
+    | No_barrier -> ()
+    | Rebalancing cfg ->
+        if hi < npkts then begin
+          (* join any dead domain NOW, so a rebalance can never race a
+             restart, and treat a fresh write-off as a forced rebalance *)
+          let newly_dead = reap () in
+          (* voluntary moves need no sharded state or an exact migration;
+             a partially-migratable NF moves buckets only when a write-off
+             forces it *)
+          let wanted =
+            ((not (sharded ())) || Balancer.exact (Lazy.force mplan))
+            && Rebalance.imbalance_of counts > cfg.Balancer.threshold
+          in
+          if newly_dead || wanted then begin
+            let candidate =
+              if wanted then Nic.Reta.rebalance !table ~bucket_load:bucket_loads else !table
+            in
+            let candidate =
+              if Array.for_all Fun.id live then candidate else Nic.Reta.remap candidate ~live
+            in
+            let moves = List.length (Nic.Reta.diff !table candidate) in
+            if moves > 0 then
+              Telemetry.Span.with_span "pool/rebalance" (fun () ->
+                  retable candidate;
+                  t.rebalances <- t.rebalances + 1;
+                  Telemetry.Counter.incr c_rebalances;
+                  if newly_dead then begin
+                    t.forced_rebalances <- t.forced_rebalances + 1;
+                    Telemetry.Counter.incr c_rebalances_forced
+                  end;
+                  t.migrated_buckets <- t.migrated_buckets + moves;
+                  Telemetry.Counter.add c_moved_buckets moves;
+                  points := hi :: !points)
+          end
+        end
+    | Adapting ctl -> (
         (* join any dead domain NOW: crash recovery (inline replay, SCR
            replica rebuild) runs under the OLD rung before any switch is
            considered, so a mid-switch crash lands in the old rung's
            recovery path *)
-        let newly_dead = ref false in
-        for core = 0 to cores - 1 do
-          match ensure_live t t.workers.(core) with
-          | `Failed ->
-              if live.(core) then begin
-                live.(core) <- false;
-                newly_dead := true
-              end
-          | `Ok -> ()
-        done;
-        if !newly_dead then begin
-          (* failover: remap the dead cores' buckets; on the shared-nothing
-             rung their flow state follows the buckets to the new owners *)
+        let newly_dead = reap () in
+        if newly_dead then begin
           let candidate = Nic.Reta.remap !table ~live in
           if Nic.Reta.diff !table candidate <> [] then begin
-            (match Adaptive.rung ctl with
-            | Maestro.Ladder.Shared_nothing ->
-                let dentries = Nic.Reta.entries candidate in
-                account
-                  (Balancer.migrate mplan ~hash:migration_hash ~mask
-                     ~dest:(fun b -> dentries.(b))
-                     ~instances:!insts)
-            | _ -> ());
-            set_table candidate;
+            retable candidate;
             Telemetry.Counter.incr c_remaps;
             (* a write-off remap moves flows between cores exactly like a
                switch does — record the boundary so the per-flow ordering
@@ -1045,8 +1101,7 @@ let run ?(rebalance = Balancer.Off) ?(adaptive = Adaptive.Off) (t : t) (plan : M
         let restarts_now = Supervisor.restarts t.supervisor in
         let digest_now = t.scr_digest_bytes in
         let live_counts =
-          Array.of_list
-            (List.filteri (fun c _ -> live.(c)) (Array.to_list rss_counts))
+          Array.of_list (List.filteri (fun c _ -> live.(c)) (Array.to_list counts))
         in
         let obs =
           {
@@ -1059,275 +1114,41 @@ let run ?(rebalance = Balancer.Off) ?(adaptive = Adaptive.Off) (t : t) (plan : M
         drops0 := drops_now;
         restarts0 := restarts_now;
         digest0 := digest_now;
-        let crash_recovery = obs.Adaptive.restarts > 0 || !newly_dead in
-        (match Adaptive.observe ctl obs with
+        match Adaptive.observe ctl obs with
         | Adaptive.Stay | Adaptive.Suppressed _ -> ()
         | Adaptive.Switch _ when hi >= npkts -> () (* run is over *)
         | Adaptive.Switch target ->
-            if crash_recovery then
+            if obs.Adaptive.restarts > 0 || newly_dead then
               (* the old rung's recovery path just ran; switching on state
                  it may still be settling risks a torn conversion — defer
                  the switch and retry at the next barrier *)
               Adaptive.defer ctl target
             else begin
-              let from_r = Adaptive.rung ctl in
               Telemetry.Span.with_span "pool/switch" (fun () ->
-                  convert from_r target;
+                  convert target;
                   enter target);
               Adaptive.commit ctl target;
               points := hi :: !points
             end)
-      done;
+  done;
+  (match barrier with
+  | Adapting ctl ->
       t.adaptive_switches <- t.adaptive_switches + Adaptive.switches ctl;
       t.adaptive_flaps <- t.adaptive_flaps + Adaptive.flap_suppressed ctl;
       t.adaptive_switch_epochs <- Adaptive.switch_epochs ctl;
-      t.adaptive_residency <- Adaptive.residency ctl;
-      finish assignment !points per_core
-  | Adaptive.Off ->
-  (* per-core state for shared-nothing (capacity-split), load-balance
-     (read-only replicas) and SCR (full replicas, state_divisor 1); one
-     shared locked instance otherwise.  The instance array is kept
-     visible so the balancer can migrate state between cores at a
-     quiesced epoch boundary. *)
-  let instances =
-    match strategy with
-    | Maestro.Plan.Shared_nothing | Maestro.Plan.Load_balance | Maestro.Plan.Scr ->
-        Some
-          (Array.init cores (fun _ ->
-               Dsl.Instance.create ~divide:(Maestro.Plan.state_divisor plan) nf))
-    | Maestro.Plan.Lock_based | Maestro.Plan.Tm_based -> None
-  in
-  let process_batch =
-    match instances with
-    | Some insts ->
-        let runners = Array.map (Dsl.Compile.bind_runner staged) insts in
-        fun core indices ->
-          let r = runners.(core) in
-          {
-            npkts = Array.length indices;
-            run =
-              (fun () ->
-                Array.iter (fun i -> verdicts.(i) <- Dsl.Compile.run r pkts.(i)) indices;
-                Atomic.decr remaining);
-          }
-    | None ->
-        let inst = Dsl.Instance.create nf in
-        let lock = Rwlock.create ~cores in
-        let writes = nf_statically_writes nf in
-        let runners = Array.init cores (fun _ -> Dsl.Compile.bind_runner staged inst) in
-        fun core indices ->
-          let r = runners.(core) in
-          {
-            npkts = Array.length indices;
-            run =
-              (fun () ->
-                Array.iter
-                  (fun i ->
-                    if writes then
-                      Rwlock.with_write lock (fun () ->
-                          verdicts.(i) <- Dsl.Compile.run r pkts.(i))
-                    else
-                      Rwlock.with_read lock ~core (fun () ->
-                          verdicts.(i) <- Dsl.Compile.run r pkts.(i)))
-                  indices;
-                Atomic.decr remaining);
-          }
-  in
-  match strategy with
-  | Maestro.Plan.Scr ->
-      (* State-compute replication: every live core consumes the FULL
-         global batch stream in arrival order over its own SPSC ring.
-         The owning core (round-robin over the batches) runs the complete
-         NF for the verdicts; every other core replays the batch's update
-         digest — derived from the packets at dispatch time — against its
-         own full replica by executing the NF's write-slice.  No core
-         ever waits for another: there is no shared state and no lock.
-         The digest stream is retained for the whole run so a respawned
-         worker can rebuild its replica from scratch before rejoining
-         (see [scr_crash_hook]). *)
-      let insts = match instances with Some i -> i | None -> assert false in
-      let spec =
-        match Maestro.Scrspec.admissible nf with
-        | Ok spec -> spec
-        | Error e ->
-            invalid_arg
-              (Printf.sprintf "Pool.run: SCR plan for %s but %s" nf.Dsl.Ast.name e)
-      in
-      let prog = Scr.prepare spec in
-      let runners = Array.map (Dsl.Compile.bind_runner staged) insts in
-      let replayers = Array.map (Scr.bind prog) insts in
-      let nbatches = (npkts + t.batch_size - 1) / t.batch_size in
-      let log = Array.make (max 1 nbatches) [||] in
-      let log_npkts = Array.make (max 1 nbatches) 0 in
-      let log_len = ref 0 in
-      (* batches of THIS run fully applied per core; written by whoever
-         executes the task (worker, or the producer inline), read by the
-         producer only after joining the dead domain *)
-      let applied = Array.make cores 0 in
-      let assignment = Array.make npkts 0 in
-      let per_core = Array.make cores 0 in
-      t.scr_crash_hook <-
-        Some
-          (fun core ->
-            t.scr_rebuilds <- t.scr_rebuilds + 1;
-            Telemetry.Counter.incr c_scr_rebuilds;
-            (* compiled runners capture the state containers eagerly, and
-               [reset] replaces them — rebind both the full runner and
-               the replayer to the fresh containers before replaying, or
-               the rebuild would write into the orphaned pre-crash state *)
-            Dsl.Instance.reset insts.(core) nf;
-            runners.(core) <- Dsl.Compile.bind_runner staged insts.(core);
-            replayers.(core) <- Scr.bind prog insts.(core);
-            for b = 0 to applied.(core) - 1 do
-              Scr.apply_batch replayers.(core) log.(b) ~npkts:log_npkts.(b)
-            done);
-      Fun.protect ~finally:(fun () -> t.scr_crash_hook <- None) @@ fun () ->
-      spray t ~prog ~live ~rr:(ref 0)
-        ~log:(fun digest len ->
-          log.(!log_len) <- digest;
-          log_npkts.(!log_len) <- len;
-          incr log_len)
-        ~replay:(fun core digest len -> Scr.apply_batch replayers.(core) digest ~npkts:len)
-        ~runners ~applied ~pkts ~verdicts ~remaining ~assignment ~per_core ~lo:0 ~hi:npkts;
-      wait_quiesce t ~cores remaining;
-      finish assignment [] per_core
-  | Maestro.Plan.Shared_nothing | Maestro.Plan.Load_balance | Maestro.Plan.Lock_based
-  | Maestro.Plan.Tm_based -> (
-  match rebalance with
-  | Balancer.Off ->
-      (* dispatch on the producer, exactly what the NIC does in hardware *)
-      let assignment = Array.make npkts 0 in
-      let per_core = Array.make cores 0 in
-      let dispatch i =
-        let p = pkts.(i) in
-        Nic.Rss.dispatch engines.(p.Packet.Pkt.port) p
-      in
-      stream t ~cores ~task:process_batch ~remaining ~dispatch ~assignment ~per_core ~lo:0
-        ~hi:npkts;
-      wait_quiesce t ~cores remaining;
-      finish assignment [] per_core
-  | Balancer.On cfg ->
-      let size = Nic.Reta.size (Nic.Rss.reta engines.(0)) in
-      if Array.exists (fun e -> Nic.Reta.size (Nic.Rss.reta e) <> size) engines then
-        invalid_arg "Pool.run: rebalancing requires equal-size port indirection tables";
-      (* ONE table shared by all ports: Maestro's symmetric per-port keys
-         give both directions of a flow the same hash, hence the same
-         bucket on every port, so a single rebalanced table keeps each
-         flow on exactly one core no matter the arrival port *)
-      let table = ref (Nic.Rss.reta engines.(0)) in
-      let set_table tab =
-        table := tab;
-        Array.iteri (fun p e -> engines.(p) <- Nic.Rss.with_reta e tab) engines
-      in
-      set_table !table;
-      let mask = size - 1 in
-      let mplan = Balancer.migration_plan nf in
-      (* voluntary bucket moves need either no per-core flow state
-         (lock/TM share one instance, load-balance replicates read-only
-         state) or an exact migration; a partially-migratable
-         shared-nothing NF only moves buckets when a core write-off
-         forces it (state is then stranded exactly as in a plain remap) *)
-      let migrate_ok = strategy = Maestro.Plan.Shared_nothing && Balancer.exact mplan in
-      let voluntary_ok =
-        match strategy with
-        | Maestro.Plan.Shared_nothing -> Balancer.exact mplan
-        | Maestro.Plan.Lock_based | Maestro.Plan.Tm_based | Maestro.Plan.Load_balance -> true
-        | Maestro.Plan.Scr -> false (* SCR never reaches here: round-robin spray *)
-      in
-      let nports = Array.length engines in
-      let hash_pkt (pk : Packet.Pkt.t) =
-        let port = if pk.Packet.Pkt.port < nports then pk.Packet.Pkt.port else 0 in
-        Nic.Rss.hash_of engines.(port) pk
-      in
-      let assignment = Array.make npkts 0 in
-      let per_core = Array.make cores 0 in
-      let bucket_loads = Array.make size 0.0 in
-      let epoch_counts = Array.make cores 0 in
-      (* per-bucket load accounting lives on the producer next to the
-         dispatch it already performs — zero worker-side cost, and
-         deterministic (a CI gate compares the resulting counters) *)
-      let dispatch i =
-        let p = pkts.(i) in
-        let h = Nic.Rss.hash_int engines.(p.Packet.Pkt.port) p in
-        let q =
-          if h < 0 then 0
-          else begin
-            let b = h land mask in
-            bucket_loads.(b) <- bucket_loads.(b) +. 1.0;
-            Nic.Reta.lookup !table h
-          end
-        in
-        epoch_counts.(q) <- epoch_counts.(q) + 1;
-        q
-      in
-      let points = ref [] in
-      let pos = ref 0 in
-      while !pos < npkts do
-        let hi = min (!pos + cfg.Balancer.epoch_pkts) npkts in
-        stream t ~cores ~task:process_batch ~remaining ~dispatch ~assignment ~per_core ~lo:!pos
-          ~hi;
-        (* the epoch barrier IS the quiesce point: nothing is in flight
-           when the table changes or state moves, so per-flow order is
-           preserved by construction (FIFO per core within an epoch) *)
-        wait_quiesce t ~cores remaining;
-        pos := hi;
-        if !pos < npkts then begin
-          (* supervisor integration: join any dead domain NOW, so a
-             rebalance can never race a restart, and treat a fresh
-             write-off as a forced rebalance *)
-          let newly_dead = ref false in
-          for core = 0 to cores - 1 do
-            match ensure_live t t.workers.(core) with
-            | `Failed ->
-                if live.(core) then begin
-                  live.(core) <- false;
-                  newly_dead := true
-                end
-            | `Ok -> ()
-          done;
-          let wanted =
-            voluntary_ok && Rebalance.imbalance_of epoch_counts > cfg.Balancer.threshold
-          in
-          if !newly_dead || wanted then begin
-            let candidate =
-              if wanted then Nic.Reta.rebalance !table ~bucket_load:bucket_loads else !table
-            in
-            let candidate =
-              if Array.for_all Fun.id live then candidate
-              else Nic.Reta.remap candidate ~live
-            in
-            let moves = Nic.Reta.diff !table candidate in
-            if moves <> [] then
-              Telemetry.Span.with_span "pool/rebalance" (fun () ->
-                  (match (instances, migrate_ok) with
-                  | Some insts, true ->
-                      let dentries = Nic.Reta.entries candidate in
-                      let outcome =
-                        Balancer.migrate mplan ~hash:hash_pkt ~mask
-                          ~dest:(fun b -> dentries.(b))
-                          ~instances:insts
-                      in
-                      t.migrated_flows <- t.migrated_flows + outcome.Balancer.moved_flows;
-                      t.migration_drops <- t.migration_drops + outcome.Balancer.dropped_flows;
-                      Telemetry.Counter.add c_moved_flows outcome.Balancer.moved_flows;
-                      Telemetry.Counter.add c_migration_drops outcome.Balancer.dropped_flows
-                  | _ -> ());
-                  set_table candidate;
-                  t.rebalances <- t.rebalances + 1;
-                  Telemetry.Counter.incr c_rebalances;
-                  if !newly_dead then begin
-                    t.forced_rebalances <- t.forced_rebalances + 1;
-                    Telemetry.Counter.incr c_rebalances_forced
-                  end;
-                  t.migrated_buckets <- t.migrated_buckets + List.length moves;
-                  Telemetry.Counter.add c_moved_buckets (List.length moves);
-                  points := !pos :: !points)
-          end;
-          Array.fill bucket_loads 0 size 0.0;
-          Array.fill epoch_counts 0 cores 0
-        end
-      done;
-      finish assignment !points per_core)
+      t.adaptive_residency <- Adaptive.residency ctl
+  | No_barrier | Rebalancing _ -> ());
+  t.runs <- t.runs + 1;
+  t.total_pkts <- t.total_pkts + npkts;
+  t.last_per_core <- per_core;
+  t.last_assignment <- assignment;
+  t.last_points <- List.rev !points;
+  let total = Array.fold_left ( + ) 0 per_core in
+  t.last_share <-
+    (if total = 0 then Array.make cores 0.
+     else Array.map (fun c -> float_of_int c /. float_of_int total) per_core);
+  Telemetry.Counter.add c_pkts npkts;
+  verdicts
 
 (* --- the process-global pool ------------------------------------------------- *)
 

@@ -1,11 +1,11 @@
 (** A persistent, {e supervised} pool of worker domains fed by bounded
     SPSC rings of packet batches.
 
-    The spawn-per-run entry points in {!Domains} paid a domain-spawn per
-    core per call; this pool spawns [cores] domains {e once} and feeds
-    them batches (default {!default_batch_size} packets, mirroring DPDK
-    burst mode) through single-producer single-consumer rings, so
-    repeated runs cost only enqueue/dequeue.  Idle workers block on a
+    Spawning a domain per core per call would dominate short runs; this
+    pool spawns [cores] domains {e once} and feeds them batches (default
+    {!default_batch_size} packets, mirroring DPDK burst mode) through
+    single-producer single-consumer rings, so repeated runs cost only
+    enqueue/dequeue.  Idle workers block on a
     condition variable — an idle pool burns no CPU.
 
     {2 Fault tolerance}
@@ -47,17 +47,22 @@
     batches it had applied — before the crashed batch is replayed
     inline and the core rejoins ({!stats.scr_rebuilds}).
 
-    {!run} executes any plan strategy without respawning: shared-nothing
-    and load-balance get per-core state instances (capacity-split and
-    read-only replicas respectively); SCR gets per-core {e full-capacity}
-    replicas; lock-based and transactional-memory
-    plans share one instance guarded by the {!Rwlock} with conservative
-    static write classification (OCaml has no transactional rollback, so
-    the TM discipline degrades to the lock discipline on real domains —
-    the speculative/transactional behavior is modeled deterministically
-    in {!Parallel.run}).  Verdicts are bit-identical to the spawn-per-run
-    paths and, for shared-nothing and SCR plans, to sequential
-    execution. *)
+    {2 One epoch driver}
+
+    {!run} executes every plan strategy without respawning, through one
+    loop over one per-rung state.  A plan maps onto its ladder rung
+    ({!Maestro.Ladder.rung}): shared-nothing and load-balance get per-core
+    instances (capacity-split and read-only replicas respectively); SCR
+    gets per-core {e full-capacity} replicas; lock-based and
+    transactional-memory plans share one instance guarded by the
+    {!Rwlock} with conservative static write classification (OCaml has no
+    transactional rollback, so the TM discipline degrades to the lock
+    discipline on real domains — the speculative/transactional behavior
+    is modeled deterministically in {!Parallel.run}).  The trace is cut
+    into epochs, each dispatched and then quiesced.  A static run is one
+    epoch with no barrier policy; [~rebalance] adds an RSS++ table move at
+    each barrier and [~adaptive] a hysteresis rung switch.  Verdicts of
+    shared-nothing and SCR plans equal sequential execution. *)
 
 val default_batch_size : int
 (** 32 — the DPDK burst size. *)
@@ -226,8 +231,10 @@ val run :
     cores have failed permanently, the RSS indirection tables are
     remapped so every packet lands on a live core.  Raises
     [Invalid_argument] when the plan wants more cores than the pool has
-    (plans with fewer cores use a prefix of the workers) or when every
-    plan core has failed.
+    (plans with fewer cores use a prefix of the workers), when every
+    plan core has failed, or — before any batch is handed off, in every
+    mode — when a packet arrives on a port the NF does not have (the
+    message names the packet index and the port).
 
     [rebalance] (default [Off], which is the zero-cost single-pass path)
     turns on online RSS++ rebalancing: the trace is processed in epochs

@@ -167,12 +167,18 @@ let test_dynamic_rebalance_reduces_imbalance () =
 
 (* --- real domains ---------------------------------------------------------- *)
 
+(* one run on a fresh pool of [plan]'s width *)
+let pool_run (plan : Maestro.Plan.t) trace =
+  let pool = Runtime.Pool.create ~cores:plan.Maestro.Plan.cores () in
+  Fun.protect ~finally:(fun () -> Runtime.Pool.shutdown pool) @@ fun () ->
+  Runtime.Pool.run pool plan trace
+
 let test_domains_shared_nothing_equivalence () =
   let nf = Nfs.Registry.find_exn "fw" in
   let trace = mixed_trace 24 1500 150 in
   let seq = Runtime.Parallel.run_sequential nf trace in
   let plan = plan_of ~cores:4 "fw" in
-  let par = Runtime.Domains.run_shared_nothing plan trace in
+  let par = pool_run plan trace in
   Alcotest.(check bool) "domains == sequential" true (verdicts_equal seq par)
 
 let test_domains_lock_based_equivalence () =
@@ -189,7 +195,7 @@ let test_domains_lock_based_equivalence () =
   in
   let seq = Runtime.Parallel.run_sequential nf pkts in
   let plan = plan_of ~cores:4 ~strategy:`Force_locks "sbridge" in
-  let par = Runtime.Domains.run_lock_based plan pkts in
+  let par = pool_run plan pkts in
   Alcotest.(check bool) "domain locks == sequential" true (verdicts_equal seq par)
 
 (* --- persistent domain pool ------------------------------------------------ *)
@@ -240,22 +246,16 @@ let test_pool_ring_spsc_stress () =
   done;
   Alcotest.(check int) "all values crossed in order" (n * (n - 1) / 2) (Domain.join consumer)
 
-(* The acceptance criterion: the pool produces identical verdicts to the
-   spawn-per-run path (and to sequential execution) for shared-nothing,
-   lock-based, and TM plans. *)
-let test_pool_matches_spawning_shared_nothing () =
+(* The pool produces the sequential verdicts for shared-nothing,
+   lock-based and TM plans. *)
+let test_pool_shared_nothing_matches_sequential () =
   let nf = Nfs.Registry.find_exn "fw" in
   let trace = mixed_trace 41 1500 150 in
   let plan = plan_of ~cores:4 "fw" in
   let seq = Runtime.Parallel.run_sequential nf trace in
-  let spawning = Runtime.Domains.run_shared_nothing_spawning plan trace in
-  let pool = Runtime.Pool.create ~cores:4 () in
-  Fun.protect ~finally:(fun () -> Runtime.Pool.shutdown pool) @@ fun () ->
-  let pooled = Runtime.Pool.run pool plan trace in
-  Alcotest.(check bool) "pool == spawning" true (verdicts_equal spawning pooled);
-  Alcotest.(check bool) "pool == sequential" true (verdicts_equal seq pooled)
+  Alcotest.(check bool) "pool == sequential" true (verdicts_equal seq (pool_run plan trace))
 
-let test_pool_matches_spawning_lock_based () =
+let test_pool_lock_based_matches_sequential () =
   let nf = Nfs.Registry.find_exn "sbridge" in
   let st = rng 42 in
   let pkts =
@@ -267,12 +267,7 @@ let test_pool_matches_spawning_lock_based () =
   in
   let plan = plan_of ~cores:4 ~strategy:`Force_locks "sbridge" in
   let seq = Runtime.Parallel.run_sequential nf pkts in
-  let spawning = Runtime.Domains.run_lock_based_spawning plan pkts in
-  let pool = Runtime.Pool.create ~cores:4 () in
-  Fun.protect ~finally:(fun () -> Runtime.Pool.shutdown pool) @@ fun () ->
-  let pooled = Runtime.Pool.run pool plan pkts in
-  Alcotest.(check bool) "pool == spawning" true (verdicts_equal spawning pooled);
-  Alcotest.(check bool) "pool == sequential" true (verdicts_equal seq pooled)
+  Alcotest.(check bool) "pool == sequential" true (verdicts_equal seq (pool_run plan pkts))
 
 let test_pool_tm_equivalence () =
   (* Real-domain lock/TM disciplines serialize writes in acquisition order,
@@ -289,10 +284,40 @@ let test_pool_tm_equivalence () =
   in
   let plan = plan_of ~cores:4 ~strategy:`Force_tm "fw" in
   let seq = Runtime.Parallel.run_sequential nf trace in
-  let spawning = Runtime.Domains.run_lock_based_spawning plan trace in
-  let pooled = Runtime.Domains.run_tm plan trace in
-  Alcotest.(check bool) "tm on pool == sequential" true (verdicts_equal seq pooled);
-  Alcotest.(check bool) "tm on pool == spawn-per-run" true (verdicts_equal spawning pooled)
+  Alcotest.(check bool) "tm on pool == sequential" true (verdicts_equal seq (pool_run plan trace))
+
+(* A packet on a port the NF does not have is rejected up front, with one
+   message in every mode, and leaves the pool usable. *)
+let test_pool_rejects_foreign_port () =
+  let nf = Nfs.Registry.find_exn "fw" in
+  let trace = mixed_trace 44 600 60 in
+  let bad = Array.copy trace in
+  bad.(100) <- { bad.(100) with Packet.Pkt.port = 7 };
+  let sn = plan_of ~cores:2 "fw" and scr = plan_of ~cores:2 ~strategy:`Force_scr "fw" in
+  Alcotest.(check bool) "scr plan" true (scr.Maestro.Plan.strategy = Maestro.Plan.Scr);
+  let pool = Runtime.Pool.create ~cores:2 () in
+  Fun.protect ~finally:(fun () -> Runtime.Pool.shutdown pool) @@ fun () ->
+  let expected = "Pool.run: packet 100 arrives on port 7 but fw has 2 ports" in
+  List.iter
+    (fun (mode, run) ->
+      Alcotest.check_raises mode (Invalid_argument expected) (fun () -> ignore (run ()));
+      Alcotest.(check int) (mode ^ ": no batch submitted") 0
+        (Runtime.Pool.stats pool).Runtime.Pool.batches)
+    [
+      ("static", fun () -> Runtime.Pool.run pool sn bad);
+      ( "rebalance",
+        fun () ->
+          let rebalance = Runtime.Balancer.On Runtime.Balancer.default_config in
+          Runtime.Pool.run ~rebalance pool sn bad );
+      ( "adaptive",
+        fun () ->
+          let adaptive = Runtime.Adaptive.On Runtime.Adaptive.default_config in
+          Runtime.Pool.run ~adaptive pool sn bad );
+      ("scr", fun () -> Runtime.Pool.run pool scr bad);
+    ];
+  let seq = Runtime.Parallel.run_sequential nf trace in
+  Alcotest.(check bool) "the pool still runs a valid trace" true
+    (verdicts_equal seq (Runtime.Pool.run pool sn trace))
 
 let test_pool_batch_sizes () =
   (* batch size must not change behavior: 1 (degenerate), 32 (default),
@@ -580,10 +605,12 @@ let suite =
       test_domains_lock_based_equivalence;
     Alcotest.test_case "pool ring fifo + wrap" `Quick test_pool_ring;
     Alcotest.test_case "pool ring spsc stress" `Quick test_pool_ring_spsc_stress;
-    Alcotest.test_case "pool == spawning (shared-nothing)" `Quick
-      test_pool_matches_spawning_shared_nothing;
-    Alcotest.test_case "pool == spawning (lock-based)" `Quick
-      test_pool_matches_spawning_lock_based;
+    Alcotest.test_case "pool == sequential (shared-nothing)" `Quick
+      test_pool_shared_nothing_matches_sequential;
+    Alcotest.test_case "pool == sequential (lock-based)" `Quick
+      test_pool_lock_based_matches_sequential;
+    Alcotest.test_case "pool rejects a foreign rx port in every mode" `Quick
+      test_pool_rejects_foreign_port;
     Alcotest.test_case "pool tm equivalence" `Quick test_pool_tm_equivalence;
     Alcotest.test_case "pool batch sizes 1/32/7" `Quick test_pool_batch_sizes;
     Alcotest.test_case "pool reuse, stats, measured shares" `Quick test_pool_reuse_and_stats;
