@@ -580,10 +580,10 @@ let stream t ~cores ~task ~remaining ~dispatch ~assignment ~per_core ~lo ~hi =
     if fill.(core) > 0 then hand_off core (Array.sub bufs.(core) 0 fill.(core))
   done
 
-(* The one producer-side hand-off of the SCR rung: cut packets [lo, hi) into [batch_size] batches;
-   each goes whole to the next owner of the round-robin over the [live]
-   cores ([rr] counts batches and is advanced here, so a caller that
-   sprays in epochs keeps the rotation going across calls).  The
+(* The one producer-side hand-off of the SCR rung: cut packets [lo, hi)
+   into [batch_size] batches; each goes whole to the next owner of the
+   round-robin over the [live] cores ([rr] counts batches and is advanced
+   here, so the rotation continues across epochs).  The
    producer encodes the batch's digest, hands it to [log] (the
    crash-rebuild log) and broadcasts the batch: the owner runs the full
    NF for the verdicts, every other live core gets a [replay] of the
@@ -959,7 +959,7 @@ let run ?(rebalance = Balancer.Off) ?(adaptive = Adaptive.Off) (t : t) (plan : M
      dispatch, but the controller must see the imbalance the
      shared-nothing rung WOULD suffer. *)
   let counting = match barrier with No_barrier -> false | Rebalancing _ | Adapting _ -> true in
-  let bucket_loads = Array.make (if counting then size else 0) 0.0 in
+  let bucket_loads = Array.make size 0.0 in
   let counts = Array.make cores 0 in
   let counted_dispatch i =
     let p = pkts.(i) in
@@ -1010,7 +1010,7 @@ let run ?(rebalance = Balancer.Off) ?(adaptive = Adaptive.Off) (t : t) (plan : M
   while !pos < npkts do
     let lo = !pos in
     let hi = min (lo + epoch_pkts) npkts in
-    Array.fill bucket_loads 0 (Array.length bucket_loads) 0.0;
+    Array.fill bucket_loads 0 size 0.0;
     Array.fill counts 0 cores 0;
     (match !rung with
     | Maestro.Ladder.Scr ->
