@@ -8,10 +8,12 @@
    that only shows up there:
 
    - {e flow-table fill}: establish N concurrent flows through the
-     firewall and inspect the live {!State.Map_s} — open-addressing
-     probe lengths must stay short (the hybrid map's reason to exist)
-     and the backing table must stay within the rebuild law's bound
-     (slots <= smallest power of two >= 4*(size+1), so < 8*size).
+     firewall and inspect the live {!State.Map_s} — every operation on
+     its 12-byte 5-tuple key must be served by the packed pair-keyed
+     table, open-addressing probe lengths must stay short (the hybrid
+     map's reason to exist) and the backing table must stay within the
+     rebuild law's bound (slots <= smallest power of two >= 4*(size+1),
+     so < 8*size).
    - {e tombstone churn}: a rotating insert/erase window over
      {!State.Intmap} must NOT grow the table — erase pressure is
      reclaimed by same-size rebuilds, not by doubling.  Before that fix
@@ -100,6 +102,9 @@ let run ?(out = "BENCH_stress.json") () =
      allocation accounting *)
   let inst = Dsl.Instance.create nf in
   let runner = Dsl.Compile.make_runner nf info inst in
+  let key_ops name = Telemetry.Counter.value (Telemetry.Counter.make name) in
+  let packed0 = key_ops "state.key_packed" in
+  let fallback0 = key_ops "state.key_string_fallback" in
   let t0 = Unix.gettimeofday () in
   let alloc0 = Gc.allocated_bytes () in
   let seq = Array.map (fun p -> Dsl.Compile.run runner p) trace in
@@ -114,6 +119,8 @@ let run ?(out = "BENCH_stress.json") () =
   let peak = State.Dchain.allocated chain in
   let max_probe, mean_probe_x100, table_slots, tombs = State.Map_s.packed_stats fw_map in
   check "fill: every flow concurrently resident" (peak = nflows);
+  check "fill: every fw map op served by the packed table"
+    (key_ops "state.key_string_fallback" = fallback0 && key_ops "state.key_packed" > packed0);
   check "fill: packed-map max probe <= 64" (max_probe <= 64);
   check "fill: packed-map table within the rebuild bound (< 8x size)"
     (table_slots < 8 * max 1 (State.Map_s.size fw_map));
@@ -156,13 +163,13 @@ let run ?(out = "BENCH_stress.json") () =
   let churn_ops = max (2 * nflows) 1_000_000 in
   let im = State.Intmap.create ~capacity:(churn_window + 1) in
   for i = 0 to churn_window - 1 do
-    ignore (State.Intmap.put im i i)
+    ignore (State.Intmap.put im i 0 i)
   done;
   let t0 = Unix.gettimeofday () in
   let churn_fail = ref 0 in
   for i = 0 to churn_ops - 1 do
-    if not (State.Intmap.erase im i) then incr churn_fail;
-    if not (State.Intmap.put im (i + churn_window) i) then incr churn_fail
+    if not (State.Intmap.erase im i 0) then incr churn_fail;
+    if not (State.Intmap.put im (i + churn_window) 0 i) then incr churn_fail
   done;
   let churn_ms = ms_since t0 in
   let churn_slots = State.Intmap.table_slots im in

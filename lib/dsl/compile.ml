@@ -5,8 +5,10 @@
    packet is already resolved: variable and record bindings are fixed
    slots in a preallocated frame, expression widths are baked-in mask
    constants, record layouts are field indices, and container keys
-   narrow enough to pack ({!State.Key}) are built as tagged ints feeding
-   the allocation-free [_packed] container operations.  [bind] then
+   narrow enough to pack ({!State.Key}) are built as immediate ints
+   feeding the allocation-free [_packed] container operations — map keys
+   of up to 14 bytes as a [(hi, lo)] pair, sketch keys of up to 7 bytes
+   as one tagged int.  [bind] then
    resolves the staged program against one {!Instance} and allocates the
    frame; the resulting [bound] value processes packets without touching
    the minor heap on packed-key NFs (wide keys serialize into a per-site
@@ -27,7 +29,8 @@ let nop_op (_ : Interp.op_event) = ()
    [recs] one scratch array per record binding (records are snapshots in
    the interpreter, so overwriting the scratch on rebinding matches the
    assoc-shadowing semantics), [scratch] one reusable buffer per
-   wide-key site. *)
+   wide-key site, and [key_hi]/[key_lo] the accumulators a packed key is
+   assembled in. *)
 type ctx = {
   ints : int array;
   recs : int array array;
@@ -36,6 +39,8 @@ type ctx = {
   chains : State.Dchain.t array;
   sketches : State.Sketch.t array;
   scratch : Bytes.t array;
+  mutable key_hi : int;
+  mutable key_lo : int;
   mutable pkt : Packet.Pkt.t;
   mutable on_op : Interp.op_event -> unit;
 }
@@ -166,11 +171,13 @@ let stage (nf : Ast.t) info =
         let m = mask_of w in
         fun c -> ga c land m
   in
-  (* A compiled key: packed keys are built by shifting parts into one
-     tagged int; wide keys serialize into the site's scratch buffer and
-     copy out one string.  Each part is truncated to its byte width,
-     exactly as [Ast.key_of_parts] truncates when serializing. *)
-  let ckey key =
+  (* A compiled key.  Each part is truncated to its byte width, exactly
+     as [Ast.key_of_parts] truncates when serializing.  Packed keys are
+     assembled in the frame's [key_hi]/[key_lo] accumulators by one step
+     per part ([State.Key.pair_split] decides which accumulator each
+     byte of it lands in), so every part is evaluated once and nothing is boxed.
+     Wide keys serialize into the site's scratch buffer. *)
+  let key_parts key =
     let parts =
       List.map
         (fun e ->
@@ -178,46 +185,86 @@ let stage (nf : Ast.t) info =
           ((w + 7) / 8, cexpr e))
         key
     in
-    let total = List.fold_left (fun a (b, _) -> a + b) 0 parts in
-    if total <= State.Key.max_packed_bytes then begin
-      let f =
-        List.fold_left
-          (fun acc (b, g) ->
-            let shift = 8 * b in
-            let pm = (1 lsl shift) - 1 in
-            fun c -> (acc c lsl shift) lor (g c land pm))
-          (fun _ -> 0)
-          parts
-      in
-      `Packed (fun c -> State.Key.tag ~bytes:total (f c))
-    end
-    else begin
-      let slot = scratch_slot total in
-      let _, writers =
-        List.fold_left
-          (fun (off, acc) (bytes, g) ->
-            let w c buf =
+    (parts, List.fold_left (fun a (b, _) -> a + b) 0 parts)
+  in
+  let packed_run parts =
+    let _, run =
+      List.fold_left
+        (fun (off, run) (bytes, g) ->
+          let hs, hm, ls, lm = State.Key.pair_split ~off ~bytes in
+          let step =
+            if ls = 0 then fun c -> c.key_hi <- (c.key_hi lsl hs) lor (g c land hm)
+            else if hs = 0 then fun c -> c.key_lo <- (c.key_lo lsl ls) lor (g c land lm)
+            else fun c ->
               let v = g c in
-              for i = 0 to bytes - 1 do
-                Bytes.unsafe_set buf (off + i)
-                  (Char.unsafe_chr ((v lsr (8 * (bytes - 1 - i))) land 0xff))
-              done
-            in
-            (off + bytes, w :: acc))
-          (0, []) parts
-      in
-      let writers = Array.of_list (List.rev writers) in
-      (* Returns the site's scratch buffer itself (sized exactly [total]).
-         Call sites alias it with [Bytes.unsafe_to_string] for operations
-         that do not retain the key (find/mem/erase/hash) and copy it only
-         for [put], which stores the key. *)
-      `Wide
+              c.key_hi <- (c.key_hi lsl hs) lor ((v lsr ls) land hm);
+              c.key_lo <- (c.key_lo lsl ls) lor (v land lm)
+          in
+          (off + bytes, fun c -> run c; step c))
+        (0, fun c -> c.key_hi <- 0; c.key_lo <- 0)
+        parts
+    in
+    run
+  in
+  let wide_key parts total =
+    let slot = scratch_slot total in
+    let _, writers =
+      List.fold_left
+        (fun (off, acc) (bytes, g) ->
+          let w c buf =
+            let v = g c in
+            for i = 0 to bytes - 1 do
+              Bytes.unsafe_set buf (off + i)
+                (Char.unsafe_chr ((v lsr (8 * (bytes - 1 - i))) land 0xff))
+            done
+          in
+          (off + bytes, w :: acc))
+        (0, []) parts
+    in
+    let writers = Array.of_list (List.rev writers) in
+    (* Returns the site's scratch buffer itself (sized exactly [total]).
+       Call sites alias it with [Bytes.unsafe_to_string] for operations
+       that do not retain the key (find/mem/erase/hash) and copy it only
+       for [put], which stores the key. *)
+    fun c ->
+      let buf = Array.unsafe_get c.scratch slot in
+      for i = 0 to Array.length writers - 1 do
+        (Array.unsafe_get writers i) c buf
+      done;
+      buf
+  in
+  (* Map keys: [`Pair kc] for keys of up to 14 bytes, where [kc c]
+     returns [lo] and leaves [hi] in [c.key_hi]. *)
+  let map_key key =
+    let parts, total = key_parts key in
+    if total > State.Key.max_pair_bytes then `Wide (wide_key parts total)
+    else begin
+      let run = packed_run parts in
+      if total <= State.Key.max_packed_bytes then
+        `Pair
+          (fun c ->
+            run c;
+            c.key_hi <- State.Key.tag ~bytes:total c.key_hi;
+            0)
+      else
+        let lo_bytes = total - State.Key.max_packed_bytes in
+        `Pair
+          (fun c ->
+            run c;
+            State.Key.tag ~bytes:lo_bytes c.key_lo)
+    end
+  in
+  (* Sketch keys keep the one-int form: it is the canonical sketch hash
+     input, so wider keys hash their string. *)
+  let sketch_key key =
+    let parts, total = key_parts key in
+    if total > State.Key.max_packed_bytes then `Wide (wide_key parts total)
+    else begin
+      let run = packed_run parts in
+      `Packed
         (fun c ->
-          let buf = Array.unsafe_get c.scratch slot in
-          for i = 0 to Array.length writers - 1 do
-            (Array.unsafe_get writers i) c buf
-          done;
-          buf)
+          run c;
+          State.Key.tag ~bytes:total c.key_hi)
     end
   in
   let event obj kind =
@@ -240,11 +287,14 @@ let stage (nf : Ast.t) info =
         let ms = obj_slot reg.r_maps obj in
         let fs = var_slot found and vs = var_slot value in
         let kk = crun k in
-        match ckey key with
-        | `Packed kc ->
+        match map_key key with
+        | `Pair kc ->
             fun c ->
               c.on_op ev;
-              let v = State.Map_s.find_packed (Array.unsafe_get c.maps ms) (kc c) ~absent:min_int in
+              let lo = kc c in
+              let v =
+                State.Map_s.find_packed (Array.unsafe_get c.maps ms) c.key_hi lo ~absent:min_int
+              in
               if v = min_int then begin
                 Array.unsafe_set c.ints fs 0;
                 Array.unsafe_set c.ints vs 0
@@ -277,13 +327,13 @@ let stage (nf : Ast.t) info =
         let gv = cexpr value in
         let os = var_slot ok in
         let kk = crun k in
-        match ckey key with
-        | `Packed kc ->
+        match map_key key with
+        | `Pair kc ->
             fun c ->
               c.on_op ev;
-              let r =
-                State.Map_s.put_packed (Array.unsafe_get c.maps ms) (kc c) (gv c)
-              in
+              let v = gv c in
+              let lo = kc c in
+              let r = State.Map_s.put_packed (Array.unsafe_get c.maps ms) c.key_hi lo v in
               Array.unsafe_set c.ints os (Bool.to_int r);
               kk c
         | `Wide kc ->
@@ -300,11 +350,12 @@ let stage (nf : Ast.t) info =
         let ev = event obj Interp.Op_map_erase in
         let ms = obj_slot reg.r_maps obj in
         let kk = crun k in
-        match ckey key with
-        | `Packed kc ->
+        match map_key key with
+        | `Pair kc ->
             fun c ->
               c.on_op ev;
-              ignore (State.Map_s.erase_packed (Array.unsafe_get c.maps ms) (kc c));
+              let lo = kc c in
+              ignore (State.Map_s.erase_packed (Array.unsafe_get c.maps ms) c.key_hi lo);
               kk c
         | `Wide kc ->
             fun c ->
@@ -392,28 +443,38 @@ let stage (nf : Ast.t) info =
                  let total =
                    List.fold_left (fun a (_, w) -> a + ((w + 7) / 8)) 0 layout
                  in
-                 if total <= State.Key.max_packed_bytes then begin
-                   let shifts_masks =
+                 if total <= State.Key.max_pair_bytes then begin
+                   let splits =
                      Array.of_list
-                       (List.map
-                          (fun (_, w) ->
-                            let b = (w + 7) / 8 in
-                            (8 * b, (1 lsl (8 * b)) - 1))
-                          layout)
+                       (List.rev
+                          (snd
+                             (List.fold_left
+                                (fun (off, acc) (_, w) ->
+                                  let bytes = (w + 7) / 8 in
+                                  (off + bytes, State.Key.pair_split ~off ~bytes :: acc))
+                                (0, []) layout)))
                    in
+                   let lo_bytes = total - State.Key.max_packed_bytes in
                    fun c freed ->
                      let m = Array.unsafe_get c.maps ms in
                      let slots = Array.unsafe_get c.vecs vs in
                      List.iter
                        (fun i ->
                          let s = slots.(i) in
-                         let v = ref 0 in
-                         for j = 0 to Array.length shifts_masks - 1 do
-                           let shift, pm = Array.unsafe_get shifts_masks j in
-                           v := (!v lsl shift) lor (Array.unsafe_get s j land pm)
+                         let hi = ref 0 and lo = ref 0 in
+                         for j = 0 to Array.length splits - 1 do
+                           let hs, hm, ls, lm = Array.unsafe_get splits j in
+                           let v = Array.unsafe_get s j in
+                           hi := (!hi lsl hs) lor ((v lsr ls) land hm);
+                           lo := (!lo lsl ls) lor (v land lm)
                          done;
-                         ignore
-                           (State.Map_s.erase_packed m (State.Key.tag ~bytes:total !v)))
+                         if lo_bytes <= 0 then
+                           ignore
+                             (State.Map_s.erase_packed m (State.Key.tag ~bytes:total !hi) 0)
+                         else
+                           ignore
+                             (State.Map_s.erase_packed m !hi
+                                (State.Key.tag ~bytes:lo_bytes !lo)))
                        freed
                  end
                  else
@@ -453,7 +514,7 @@ let stage (nf : Ast.t) info =
         let ev = event obj Interp.Op_sketch_touch in
         let ss = obj_slot reg.r_sketches obj in
         let kk = crun k in
-        match ckey key with
+        match sketch_key key with
         | `Packed kc ->
             fun c ->
               c.on_op ev;
@@ -470,7 +531,7 @@ let stage (nf : Ast.t) info =
         let ss = obj_slot reg.r_sketches obj in
         let ns = var_slot count in
         let kk = crun k in
-        match ckey key with
+        match sketch_key key with
         | `Packed kc ->
             fun c ->
               c.on_op ev;
@@ -551,6 +612,8 @@ let bind t instance =
             resolve "sketch" n (function Instance.O_sketch s -> Some s | _ -> None))
           t.sketch_names;
       scratch = Array.map Bytes.create t.scratch_sizes;
+      key_hi = 0;
+      key_lo = 0;
       pkt = dummy_pkt;
       on_op = nop_op;
     }

@@ -4,10 +4,13 @@
     re-derives per packet: variable and record bindings become fixed
     slots in a preallocated frame, expression widths become baked-in
     mask constants, record layouts become field indices, and container
-    keys that fit {!State.Key.max_packed_bytes} are assembled as tagged
-    ints driving the allocation-free [_packed] operations of
-    {!State.Map_s} and {!State.Sketch} (wider keys keep the string
-    path, serialized through a per-site scratch buffer).
+    keys are assembled as immediate ints driving the allocation-free
+    [_packed] operations: map keys of up to {!State.Key.max_pair_bytes}
+    bytes as a [(hi, lo)] pair for {!State.Map_s}, with a part that
+    straddles byte 7 split at stage time, and sketch keys of up to
+    {!State.Key.max_packed_bytes} bytes as one tagged int for
+    {!State.Sketch}.  Wider keys keep the string path, serialized through
+    a per-site scratch buffer.
 
     The compiled closure is observationally identical to the
     interpreter — same verdicts, same [on_op] event stream, same

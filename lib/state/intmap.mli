@@ -1,11 +1,14 @@
-(** Fixed-capacity int-keyed map with open addressing.
+(** Fixed-capacity pair-keyed int map with open addressing.
 
-    Backs the packed-key fast path of {!Map_s}: keys are {!Key}-packed
-    container keys, values are DSL integers, and every operation is
-    allocation-free.  The logical capacity is enforced the way the Vigor
-    containers do it — {!put} of an absent key on a full map returns
-    [false] — while the physical table grows on demand to keep probe
-    sequences short. *)
+    Backs the packed-key fast path of {!Map_s}: keys are the [(hi, lo)]
+    pair form of container keys of at most {!Key.max_pair_bytes} bytes
+    (see {!Key.pair_hi}), values are non-negative DSL integers, and every
+    operation is allocation-free.  Storage is one interleaved [int array]
+    holding [hi; lo; value] per slot, with negative values marking empty
+    and tombstone slots, so a probe touches one cache line.  The logical
+    capacity is enforced the way the Vigor containers do it — {!put} of
+    an absent key on a full map returns [false] — while the physical table
+    grows on demand to keep probe sequences short. *)
 
 type t
 
@@ -14,26 +17,28 @@ val create : capacity:int -> t
 
 val capacity : t -> int
 val length : t -> int
-val mem : t -> int -> bool
+val mem : t -> int -> int -> bool
 
-val find : t -> int -> absent:int -> int
-(** [find t k ~absent] is the value bound to [k], or [absent] when [k] is
-    unbound.  The caller picks a sentinel that cannot be a stored value
-    (DSL values are non-negative, so any negative int works). *)
+val find : t -> int -> int -> absent:int -> int
+(** [find t hi lo ~absent] is the value bound to [(hi, lo)], or [absent]
+    when it is unbound.  The caller picks a sentinel that cannot be a
+    stored value (any negative int). *)
 
-val put : t -> int -> int -> bool
-(** Insert or replace; [false] iff the map is logically full and [k] is
-    absent. *)
+val put : t -> int -> int -> int -> bool
+(** [put t hi lo v] inserts or replaces; [false] iff the map is logically
+    full and the key is absent.  Raises [Invalid_argument] if [v < 0]. *)
 
-val erase : t -> int -> bool
-(** [false] iff [k] was absent. *)
+val erase : t -> int -> int -> bool
+(** [false] iff the key was absent. *)
 
 val copy : t -> t
 (** Field-exact duplicate: same physical table size, probe layout and
     tombstones, so a copy that sees the same operation sequence as the
     original stays structurally identical to it. *)
 
-val iter : t -> (int -> int -> unit) -> unit
+val iter : t -> (int -> int -> int -> unit) -> unit
+(** [iter t f] calls [f hi lo v] on every binding. *)
+
 val clear : t -> unit
 
 (** {1 Introspection} — read-only physical-layout stats, used by the

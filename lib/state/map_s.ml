@@ -1,6 +1,7 @@
-(* Hybrid storage: every key short enough to pack ({!Key.fits}) lives in
-   an allocation-free open-addressing {!Intmap}; wider keys fall back to
-   the string-keyed Hashtbl.  Both the string API and the packed API
+(* Hybrid storage: every key short enough to pack into a pair
+   ({!Key.fits_pair}, at most 14 bytes) lives in an allocation-free
+   open-addressing {!Intmap}; wider keys fall back to the string-keyed
+   Hashtbl.  Both the string API and the packed API
    route through the same tables, so a map populated through one view
    (e.g. DSL [init] entries loaded as strings) is visible through the
    other.  The logical capacity bounds the two tables together. *)
@@ -32,24 +33,23 @@ let size t = Intmap.length t.packed + Hashtbl.length t.wide
 
 (* Packed view — the compiled per-packet path. *)
 
-let mem_packed t k =
+let mem_packed t hi lo =
   Telemetry.Counter.incr c_packed;
-  Intmap.mem t.packed k
+  Intmap.mem t.packed hi lo
 
-let find_packed t k ~absent =
+let find_packed t hi lo ~absent =
   Telemetry.Counter.incr c_packed;
-  Intmap.find t.packed k ~absent
+  Intmap.find t.packed hi lo ~absent
 
-let put_packed t k v =
+let put_packed t hi lo v =
   Telemetry.Counter.incr c_packed;
-  if Hashtbl.length t.wide = 0 then Intmap.put t.packed k v
-  else if Intmap.mem t.packed k then Intmap.put t.packed k v
-  else if size t >= t.capacity then false
-  else Intmap.put t.packed k v
+  if Hashtbl.length t.wide = 0 || Intmap.mem t.packed hi lo || size t < t.capacity then
+    Intmap.put t.packed hi lo v
+  else false
 
-let erase_packed t k =
+let erase_packed t hi lo =
   Telemetry.Counter.incr c_packed;
-  Intmap.erase t.packed k
+  Intmap.erase t.packed hi lo
 
 (* Wide view — string keys that are known (or assumed) not to pack.  The
    compiled path calls these with a [Bytes.unsafe_to_string] alias of its
@@ -67,6 +67,7 @@ let find_wide t k ~absent =
 
 let put_wide t k v =
   Telemetry.Counter.incr c_fallback;
+  if v < 0 then invalid_arg "Map_s.put_wide: negative value";
   if size t < t.capacity || Hashtbl.mem t.wide k then begin
     (* below capacity, or full but overwriting an existing binding *)
     Hashtbl.replace t.wide k v;
@@ -83,25 +84,23 @@ let erase_wide t k =
 (* String view — init loading, the interpreter oracle and wide keys. *)
 
 let get t k =
-  if Key.fits k then begin
-    let v = find_packed t (Key.pack_string k) ~absent:min_int in
-    if v = min_int then None else Some v
-  end
-  else begin
-    let v = find_wide t k ~absent:min_int in
-    if v = min_int then None else Some v
-  end
+  let v =
+    if Key.fits_pair k then find_packed t (Key.pair_hi k) (Key.pair_lo k) ~absent:min_int
+    else find_wide t k ~absent:min_int
+  in
+  if v = min_int then None else Some v
 
-let mem t k = if Key.fits k then mem_packed t (Key.pack_string k) else mem_wide t k
+let mem t k =
+  if Key.fits_pair k then mem_packed t (Key.pair_hi k) (Key.pair_lo k) else mem_wide t k
 
 let put t k v =
-  if Key.fits k then put_packed t (Key.pack_string k) v else put_wide t k v
+  if Key.fits_pair k then put_packed t (Key.pair_hi k) (Key.pair_lo k) v else put_wide t k v
 
 let erase t k =
-  if Key.fits k then erase_packed t (Key.pack_string k) else erase_wide t k
+  if Key.fits_pair k then erase_packed t (Key.pair_hi k) (Key.pair_lo k) else erase_wide t k
 
 let iter t f =
-  Intmap.iter t.packed (fun k v -> f (Key.unpack_string k) v);
+  Intmap.iter t.packed (fun hi lo v -> f (Key.unpack_pair hi lo) v);
   Hashtbl.iter f t.wide
 
 let entries t =

@@ -7,16 +7,19 @@
     sequential semantics that sharded per-core instances must reproduce
     locally, §4 "State sharding").
 
-    Storage is hybrid: keys of at most {!Key.max_packed_bytes} bytes live
-    in an allocation-free int-keyed table ({!Intmap}) and the [_packed]
-    operations below access them by their {!Key.pack_string} form without
-    materializing the string — the compiled datapath's zero-allocation
-    path.  Wider keys fall back to a string-keyed table.  Both views are
-    consistent: [get t s] and [find_packed t (Key.pack_string s)] always
-    agree when [Key.fits s].
+    Storage is hybrid: keys of at most {!Key.max_pair_bytes} bytes — a
+    firewall's 12-byte 5-tuple included — live in an allocation-free
+    pair-keyed table ({!Intmap}, one interleaved [hi; lo; value] array)
+    and the [_packed] operations below access them by their
+    [(Key.pair_hi s, Key.pair_lo s)] form without materializing the
+    string — the compiled datapath's zero-allocation path.  Wider keys
+    fall back to a string-keyed table.  Both views are consistent:
+    [get t s] and [find_packed t (Key.pair_hi s) (Key.pair_lo s)] always
+    agree when [Key.fits_pair s].
 
-    Values must be DSL integers (non-negative); [min_int] is reserved as
-    the internal absence sentinel. *)
+    Values must be DSL integers (non-negative): [put] of a negative value
+    raises [Invalid_argument], and [min_int] is the internal absence
+    sentinel. *)
 
 type t
 
@@ -37,19 +40,22 @@ val put : t -> string -> int -> bool
 val erase : t -> string -> bool
 (** [true] iff the key was present. *)
 
-val mem_packed : t -> int -> bool
+val mem_packed : t -> int -> int -> bool
+(** The packed view takes a key as its pair [hi lo] (see {!Key.pair_hi}
+    and {!Key.pair_lo}). *)
 
-val find_packed : t -> int -> absent:int -> int
+val find_packed : t -> int -> int -> absent:int -> int
 (** Allocation-free lookup by packed key; [absent] must be a value the
     map cannot hold (any negative int). *)
 
-val put_packed : t -> int -> int -> bool
+val put_packed : t -> int -> int -> int -> bool
+(** [put_packed t hi lo v]. *)
 
-val erase_packed : t -> int -> bool
+val erase_packed : t -> int -> int -> bool
 
 val mem_wide : t -> string -> bool
 (** Wide-view operations address the string-keyed fallback table directly,
-    bypassing the [Key.fits] routing — the compiled datapath uses them for
+    bypassing the [Key.fits_pair] routing — the compiled datapath uses them for
     keys it knows are too wide to pack.  [mem_wide], [find_wide] and
     [erase_wide] do not retain the key, so a [Bytes.unsafe_to_string]
     alias of a scratch buffer is a sound argument; [put_wide] stores the
@@ -80,7 +86,7 @@ val copy : t -> t
 
 val packed_stats : t -> int * int * int * int
 (** [(max_probe, mean_probe_x100, table_slots, tombstones)] of the packed
-    int-keyed table (see {!Intmap.probe_stats}).  O(table) — used by the
+    pair-keyed table (see {!Intmap.probe_stats}).  O(table) — used by the
     stress harness to gate probe lengths and physical growth, not by the
     datapath. *)
 

@@ -7,12 +7,10 @@
 let ops_pp fmt (e : Dsl.Interp.op_event) =
   Format.fprintf fmt "%s(%b,%d)" e.Dsl.Interp.obj e.Dsl.Interp.write e.Dsl.Interp.expired
 
-(* Run [trace] through a fresh interpreter instance and a fresh compiled
-   instance in lockstep; fail on the first divergence. *)
-let differential label nf trace =
+(* Run [trace] through an interpreter instance and a compiled instance in
+   lockstep; fail on the first divergence. *)
+let differential_on label nf i_inst c_inst trace =
   let info = Dsl.Check.check_exn nf in
-  let i_inst = Dsl.Instance.create nf in
-  let c_inst = Dsl.Instance.create nf in
   let bound = Dsl.Compile.bind (Dsl.Compile.stage nf info) c_inst in
   Array.iteri
     (fun i pkt ->
@@ -29,6 +27,9 @@ let differential label nf trace =
           (Format.pp_print_list ops_pp)
           (List.rev !c_ops))
     trace
+
+let differential label nf trace =
+  differential_on label nf (Dsl.Instance.create nf) (Dsl.Instance.create nf) trace
 
 (* An adversarial trace: a tiny address space forces key collisions,
    capacity-full puts, expiry storms and both traffic directions. *)
@@ -146,6 +147,100 @@ let test_bind_isolates_state () =
   | Dsl.Interp.Dropped -> ()
   | Dsl.Interp.Fwd _ -> Alcotest.fail "b2 must not see b1's session"
 
+(* Synthetic per-flow counters whose keys probe the pair-packing edges: a
+   part straddling byte 7, a 14-byte key (the widest that packs) and a
+   15-byte key (the narrowest that does not).  Every fourth packet of the
+   hostile trace erases its key, and the 16-entry map keeps filling up. *)
+let counter_nf name key =
+  let open Dsl.Ast in
+  let put value ok port =
+    Map_put { obj = "cnt"; key; value; ok; k = Forward (const ~width:16 port) }
+  in
+  {
+    name;
+    devices = 2;
+    state = [ Decl_map { name = "cnt"; capacity = 16; init = [] } ];
+    process =
+      Map_get
+        {
+          obj = "cnt";
+          key;
+          found = "f";
+          value = "v";
+          k =
+            If
+              ( Field Packet.Field.Dst_port ==. const ~width:16 0,
+                Map_erase { obj = "cnt"; key; k = Drop },
+                If (Var "f", put (Var "v" +. const 1) "ok1" 1, put (const 1) "ok0" 0) );
+        };
+  }
+
+let test_pair_key_edges () =
+  let open Dsl.Ast in
+  let f x = Field x in
+  let sp = f Packet.Field.Src_port and dp = f Packet.Field.Dst_port in
+  let sip = f Packet.Field.Ip_src and dip = f Packet.Field.Ip_dst in
+  let k14 = [ sip; dip; sp; dp; Cast (16, sp +. dp) ] in
+  let cases =
+    [
+      ("straddle 1|3", [ sp; sip; dip ], false);
+      ("straddle 3|2", [ sip; Cast (40, dip +. sp) ], false);
+      ("14-byte", k14, false);
+      ("15-byte", k14 @ [ Cast (8, dp) ], true);
+    ]
+  in
+  let fallback = Telemetry.Counter.make "state.key_string_fallback" in
+  Fun.protect ~finally:(fun () ->
+      Telemetry.disable ();
+      Telemetry.reset ())
+  @@ fun () ->
+  List.iter
+    (fun (label, key, wide) ->
+      let nf = counter_nf "pair_edges" key in
+      let i_inst = Dsl.Instance.create nf and c_inst = Dsl.Instance.create nf in
+      Telemetry.reset ();
+      Telemetry.enable ();
+      differential_on label nf i_inst c_inst (hostile_trace ~seed:5 2_000);
+      Telemetry.disable ();
+      let n = Telemetry.Counter.value fallback in
+      if wide && n = 0 then Alcotest.failf "%s: expected the string fallback" label;
+      if (not wide) && n <> 0 then Alcotest.failf "%s: %d string-fallback ops" label n;
+      (* the compiled pair must be the canonical packing of the key's
+         string, not merely self-consistent *)
+      let entries inst =
+        match Dsl.Instance.find inst "cnt" with
+        | Dsl.Instance.O_map m -> List.sort compare (State.Map_s.entries m)
+        | _ -> Alcotest.fail "cnt is not a map"
+      in
+      Alcotest.(check (list (pair string int)))
+        (label ^ ": same stored keys") (entries i_inst) (entries c_inst))
+    cases
+
+(* A Chain_expire sweep purges the firewall's 12-byte flow keys from the
+   pair-keyed table, compiled exactly as interpreted. *)
+let test_expire_purges_pair_keys () =
+  let nf = Nfs.Fw.make ~capacity:64 () in
+  let flows =
+    Array.init 40 (fun i ->
+        Packet.Pkt.make ~port:0 ~ip_src:(0x0a000000 + i) ~ip_dst:0x0a0000ff ~src_port:i
+          ~dst_port:80 ~ts_ns:i ())
+  in
+  let sweeper =
+    Packet.Pkt.make ~port:1 ~ip_src:1 ~ip_dst:2 ~src_port:3 ~dst_port:4
+      ~ts_ns:(3 * Nfs.Fw.default_expiry_ns) ()
+  in
+  let i_inst = Dsl.Instance.create nf and c_inst = Dsl.Instance.create nf in
+  let size inst =
+    match Dsl.Instance.find inst "fw_flows" with
+    | Dsl.Instance.O_map m -> State.Map_s.size m
+    | _ -> Alcotest.fail "fw_flows is not a map"
+  in
+  differential_on "fw fill" nf i_inst c_inst flows;
+  Alcotest.(check int) "filled" 40 (size c_inst);
+  differential_on "fw sweep" nf i_inst c_inst [| sweeper |];
+  Alcotest.(check int) "interpreter purged" 0 (size i_inst);
+  Alcotest.(check int) "compiled purged" 0 (size c_inst)
+
 (* qcheck: random seeds, random NF from the corpus, strict equivalence *)
 let prop_differential =
   QCheck.Test.make ~name:"compiled ≡ interpreter on random hostile traces" ~count:25
@@ -167,5 +262,8 @@ let suite =
       test_pool_fault_plan_differential;
     Alcotest.test_case "runner dispatch switch" `Quick test_runner_dispatch;
     Alcotest.test_case "bind isolates per-core state" `Quick test_bind_isolates_state;
+    Alcotest.test_case "pair-key edges: straddle, 14 and 15 bytes" `Quick test_pair_key_edges;
+    Alcotest.test_case "chain expiry purges pair-keyed flows" `Quick
+      test_expire_purges_pair_keys;
     QCheck_alcotest.to_alcotest prop_differential;
   ]

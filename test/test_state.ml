@@ -58,27 +58,34 @@ let test_key_length_tag () =
 
 let test_intmap_basics () =
   let m = Intmap.create ~capacity:3 in
-  Alcotest.(check int) "miss" (-1) (Intmap.find m 42 ~absent:(-1));
-  Alcotest.(check bool) "put" true (Intmap.put m 42 7);
-  Alcotest.(check int) "hit" 7 (Intmap.find m 42 ~absent:(-1));
-  Alcotest.(check bool) "overwrite" true (Intmap.put m 42 8);
-  Alcotest.(check int) "new value" 8 (Intmap.find m 42 ~absent:(-1));
+  Alcotest.(check int) "miss" (-1) (Intmap.find m 42 0 ~absent:(-1));
+  Alcotest.(check bool) "put" true (Intmap.put m 42 0 7);
+  Alcotest.(check int) "hit" 7 (Intmap.find m 42 0 ~absent:(-1));
+  Alcotest.(check int) "other lo misses" (-1) (Intmap.find m 42 1 ~absent:(-1));
+  Alcotest.(check bool) "overwrite" true (Intmap.put m 42 0 8);
+  Alcotest.(check int) "new value" 8 (Intmap.find m 42 0 ~absent:(-1));
   Alcotest.(check int) "size" 1 (Intmap.length m);
-  Alcotest.(check bool) "erase" true (Intmap.erase m 42);
-  Alcotest.(check bool) "erase absent" false (Intmap.erase m 42)
+  Alcotest.(check bool) "negative value rejected" true
+    (try
+       ignore (Intmap.put m 1 2 (-1));
+       false
+     with Invalid_argument _ -> true);
+  Alcotest.(check bool) "erase" true (Intmap.erase m 42 0);
+  Alcotest.(check bool) "erase absent" false (Intmap.erase m 42 0)
 
 let test_intmap_capacity_and_growth () =
   let m = Intmap.create ~capacity:100 in
   (* push past the initial physical table so growth + rehash happen *)
   for i = 0 to 99 do
-    Alcotest.(check bool) (Printf.sprintf "put %d" i) true (Intmap.put m (i * 17) i)
+    Alcotest.(check bool) (Printf.sprintf "put %d" i) true (Intmap.put m (i * 17) i i)
   done;
-  Alcotest.(check bool) "logically full" false (Intmap.put m 9_999_999 0);
+  Alcotest.(check bool) "logically full" false (Intmap.put m 9_999_999 0 0);
   for i = 0 to 99 do
-    Alcotest.(check int) (Printf.sprintf "get %d" i) i (Intmap.find m (i * 17) ~absent:(-1))
+    Alcotest.(check int) (Printf.sprintf "get %d" i) i (Intmap.find m (i * 17) i ~absent:(-1))
   done
 
-(* erase/insert churn exercises tombstone reuse without unbounded growth *)
+(* erase/insert churn exercises tombstone reuse without unbounded growth;
+   hi and lo are drawn from small ranges so keys collide in one half only *)
 let prop_intmap_vs_hashtbl =
   QCheck.Test.make ~name:"intmap agrees with Hashtbl under churn" ~count:50
     QCheck.(int_range 1 100_000)
@@ -88,50 +95,229 @@ let prop_intmap_vs_hashtbl =
       let h = Hashtbl.create 32 in
       let ok = ref true in
       for _ = 1 to 1000 do
-        let k = Random.State.int rng 64 in
+        let hi = Random.State.int rng 8 and lo = Random.State.int rng 8 in
         match Random.State.int rng 3 with
         | 0 ->
             let v = Random.State.int rng 1000 in
-            let fits = Hashtbl.mem h k || Hashtbl.length h < 32 in
-            if Intmap.put m k v <> fits then ok := false
-            else if fits then Hashtbl.replace h k v
+            let fits = Hashtbl.mem h (hi, lo) || Hashtbl.length h < 32 in
+            if Intmap.put m hi lo v <> fits then ok := false
+            else if fits then Hashtbl.replace h (hi, lo) v
         | 1 ->
-            if Intmap.erase m k <> Hashtbl.mem h k then ok := false;
-            Hashtbl.remove h k
+            if Intmap.erase m hi lo <> Hashtbl.mem h (hi, lo) then ok := false;
+            Hashtbl.remove h (hi, lo)
         | _ ->
-            let expect = Option.value ~default:(-1) (Hashtbl.find_opt h k) in
-            if Intmap.find m k ~absent:(-1) <> expect then ok := false
+            let expect = Option.value ~default:(-1) (Hashtbl.find_opt h (hi, lo)) in
+            if Intmap.find m hi lo ~absent:(-1) <> expect then ok := false
       done;
-      !ok && Intmap.length m = Hashtbl.length h)
+      let bindings = ref 0 in
+      Intmap.iter m (fun hi lo v ->
+          incr bindings;
+          if Hashtbl.find_opt h (hi, lo) <> Some v then ok := false);
+      !ok && Intmap.length m = Hashtbl.length h && !bindings = Hashtbl.length h)
+
+let pair s = (Key.pair_hi s, Key.pair_lo s)
+
+let prop_pair_roundtrip =
+  QCheck.Test.make ~name:"pair keys roundtrip to their strings" ~count:500
+    QCheck.(string_of_size (Gen.int_range 0 Key.max_pair_bytes))
+    (fun s ->
+      let hi, lo = pair s in
+      Key.fits_pair s && String.equal s (Key.unpack_pair hi lo))
+
+let prop_pair_injective =
+  QCheck.Test.make ~name:"distinct keys give distinct pairs" ~count:500
+    (* a two-letter alphabet makes near-equal keys likely *)
+    (let key =
+       QCheck.string_gen_of_size
+         (QCheck.Gen.int_range 0 Key.max_pair_bytes)
+         (QCheck.Gen.oneofl [ '\000'; '\001' ])
+     in
+     QCheck.pair key key)
+    (fun (a, b) -> String.equal a b = (pair a = pair b))
+
+(* folding parts through [pair_split], as the compiler does, gives the
+   pair of the parts' big-endian serialization *)
+let prop_pair_split =
+  QCheck.Test.make ~name:"pair_split folds parts into the key's pair" ~count:500
+    QCheck.(list_of_size (Gen.int_range 1 6) (pair (int_range 1 8) (int_bound max_int)))
+    (fun parts ->
+      let _, parts =
+        List.fold_left
+          (fun (room, acc) (b, v) ->
+            let b = min b room in
+            (room - b, if b > 0 then (b, v) :: acc else acc))
+          (Key.max_pair_bytes, []) parts
+      in
+      let parts = List.rev parts in
+      let s =
+        String.concat ""
+          (List.map
+             (fun (b, v) ->
+               String.init b (fun i -> Char.chr ((v lsr (8 * (b - 1 - i))) land 0xff)))
+             parts)
+      in
+      let n = String.length s in
+      let _, hi, lo =
+        List.fold_left
+          (fun (off, hi, lo) (bytes, v) ->
+            let hs, hm, ls, lm = Key.pair_split ~off ~bytes in
+            (off + bytes, (hi lsl hs) lor ((v lsr ls) land hm), (lo lsl ls) lor (v land lm)))
+          (0, 0, 0) parts
+      in
+      let folded =
+        if n <= Key.max_packed_bytes then (Key.tag ~bytes:n hi, 0)
+        else (hi, Key.tag ~bytes:(n - Key.max_packed_bytes) lo)
+      in
+      folded = pair s)
+
+let test_pair_leading_zeros () =
+  (* all-zero and one-valued keys around the 7/8 boundary and at 14 bytes:
+     equal byte values of different lengths must still differ *)
+  let keys =
+    List.sort_uniq compare
+    @@ List.concat_map
+      (fun n ->
+        [ String.make n '\000'; String.make (n - 1) '\000' ^ "\001"; "\001" ^ String.make (n - 1) '\000' ])
+      [ 1; 6; 7; 8; 9; 13; 14 ]
+  in
+  let pairs = List.map pair keys in
+  Alcotest.(check int) "all distinct" (List.length keys)
+    (List.length (List.sort_uniq compare pairs));
+  List.iter
+    (fun s ->
+      let hi, lo = pair s in
+      Alcotest.(check string) "roundtrip" s (Key.unpack_pair hi lo);
+      Alcotest.(check bool) "short keys keep lo = 0" (String.length s <= 7) (lo = 0))
+    keys;
+  Alcotest.(check (pair int int)) "7 bytes is the one-int form"
+    (Key.pack_string (String.make 7 '\000'), 0)
+    (pair (String.make 7 '\000'))
+
+let test_wide_key_beyond_pair () =
+  let k14 = String.make 14 'a' and k15 = String.make 15 'a' in
+  Alcotest.(check bool) "14 fits" true (Key.fits_pair k14);
+  Alcotest.(check bool) "15 does not" false (Key.fits_pair k15);
+  Alcotest.(check bool) "pair_hi rejects 15" true
+    (try
+       ignore (Key.pair_hi k15);
+       false
+     with Invalid_argument _ -> true);
+  let m = Map_s.create ~capacity:4 in
+  ignore (Map_s.put m k14 1);
+  ignore (Map_s.put m k15 2);
+  Alcotest.(check int) "14 bytes in the packed table" 1
+    (Map_s.find_packed m (Key.pair_hi k14) (Key.pair_lo k14) ~absent:(-1));
+  Alcotest.(check int) "14 bytes not wide" (-1) (Map_s.find_wide m k14 ~absent:(-1));
+  Alcotest.(check int) "15 bytes wide" 2 (Map_s.find_wide m k15 ~absent:(-1));
+  Alcotest.(check (option int)) "string view finds both" (Some 2) (Map_s.get m k15);
+  List.iter
+    (fun k ->
+      Alcotest.(check bool) "negative value rejected" true
+        (try
+           ignore (Map_s.put m k (-1));
+           false
+         with Invalid_argument _ -> true))
+    [ k14; k15 ]
 
 let test_map_hybrid_views_agree () =
   (* entries written through the string API are visible packed and back *)
   let m = Map_s.create ~capacity:8 in
   let k = "\x01\x02\x03\x04" in
+  let k12 = "\x0a\x00\x00\x01\x0a\x00\x00\x02\x00\x50\x1f\x90" in
   Alcotest.(check bool) "string put" true (Map_s.put m k 5);
   Alcotest.(check int) "packed view" 5
-    (Map_s.find_packed m (Key.pack_string k) ~absent:(-1));
-  Alcotest.(check bool) "packed put" true (Map_s.put_packed m (Key.pack_string "\xff\xee") 9);
+    (Map_s.find_packed m (Key.pair_hi k) 0 ~absent:(-1));
+  Alcotest.(check bool) "packed put" true
+    (Map_s.put_packed m (Key.pack_string "\xff\xee") 0 9);
   Alcotest.(check (option int)) "string view" (Some 9) (Map_s.get m "\xff\xee");
-  Alcotest.(check int) "size counts both" 2 (Map_s.size m);
+  Alcotest.(check bool) "12-byte string put" true (Map_s.put m k12 6);
+  Alcotest.(check int) "12-byte pair view" 6
+    (Map_s.find_packed m (Key.pair_hi k12) (Key.pair_lo k12) ~absent:(-1));
+  Alcotest.(check int) "size counts all" 3 (Map_s.size m);
   (* iter reconstructs packed keys as strings *)
   let seen = ref [] in
   Map_s.iter m (fun key v -> seen := (key, v) :: !seen);
   Alcotest.(check bool) "iter sees string form" true
-    (List.mem (k, 5) !seen && List.mem ("\xff\xee", 9) !seen);
-  Alcotest.(check bool) "packed erase" true (Map_s.erase_packed m (Key.pack_string k));
+    (List.mem (k, 5) !seen && List.mem ("\xff\xee", 9) !seen && List.mem (k12, 6) !seen);
+  Alcotest.(check bool) "packed erase" true (Map_s.erase_packed m (Key.pair_hi k) 0);
   Alcotest.(check (option int)) "gone via string" None (Map_s.get m k)
+
+(* random keys of 0-16 bytes, each operation through a randomly chosen
+   view, against a Hashtbl model *)
+let prop_map_views_agree =
+  QCheck.Test.make ~name:"map string and pair views agree" ~count:100
+    QCheck.(int_range 1 100_000)
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let keys =
+        Array.init 24 (fun _ ->
+            String.init (Random.State.int rng 17) (fun _ ->
+                Char.chr (Random.State.int rng 3)))
+      in
+      let m = Map_s.create ~capacity:1000 in
+      let h = Hashtbl.create 32 in
+      let ok = ref true in
+      for _ = 1 to 500 do
+        let k = keys.(Random.State.int rng (Array.length keys)) in
+        let packed = Key.fits_pair k && Random.State.bool rng in
+        let hi, lo = if Key.fits_pair k then pair k else (0, 0) in
+        match Random.State.int rng 3 with
+        | 0 ->
+            let v = Random.State.int rng 1000 in
+            ignore (if packed then Map_s.put_packed m hi lo v else Map_s.put m k v);
+            Hashtbl.replace h k v
+        | 1 ->
+            let r = if packed then Map_s.erase_packed m hi lo else Map_s.erase m k in
+            if r <> Hashtbl.mem h k then ok := false;
+            Hashtbl.remove h k
+        | _ ->
+            let got =
+              if packed then Map_s.find_packed m hi lo ~absent:(-1)
+              else Option.value ~default:(-1) (Map_s.get m k)
+            in
+            if got <> Option.value ~default:(-1) (Hashtbl.find_opt h k) then ok := false
+      done;
+      !ok
+      && Map_s.size m = Hashtbl.length h
+      && List.sort compare (Map_s.entries m)
+         = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) h []))
 
 let test_map_capacity_spans_views () =
   (* the logical capacity bounds packed + wide entries together *)
-  let m = Map_s.create ~capacity:2 in
-  let wide = String.make 12 'x' in
+  let m = Map_s.create ~capacity:3 in
+  let wide = String.make 15 'x' in
   Alcotest.(check bool) "wide" true (Map_s.put m wide 1);
   Alcotest.(check bool) "packed" true (Map_s.put m "ab" 2);
+  Alcotest.(check bool) "pair" true (Map_s.put m (String.make 12 'p') 2);
   Alcotest.(check bool) "full (packed)" false (Map_s.put m "cd" 3);
-  Alcotest.(check bool) "full (wide)" false (Map_s.put m (String.make 13 'y') 3);
+  Alcotest.(check bool) "full (pair)" false (Map_s.put m (String.make 14 'q') 3);
+  Alcotest.(check bool) "full (wide)" false (Map_s.put m (String.make 16 'y') 3);
   Alcotest.(check bool) "overwrite wide ok" true (Map_s.put m wide 4);
   Alcotest.(check bool) "overwrite packed ok" true (Map_s.put m "ab" 5)
+
+(* the shared bound under random mixed traffic: keys of 0-20 bytes *)
+let prop_map_capacity_mixed =
+  QCheck.Test.make ~name:"map capacity bound holds with packed and wide keys" ~count:100
+    QCheck.(pair (int_range 1 12) (int_range 1 100_000))
+    (fun (capacity, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let m = Map_s.create ~capacity in
+      let h = Hashtbl.create 16 in
+      let ok = ref true in
+      for _ = 1 to 400 do
+        let k = String.make (Random.State.int rng 21) (Char.chr (Random.State.int rng 2)) in
+        if Random.State.int rng 3 = 0 then begin
+          if Map_s.erase m k <> Hashtbl.mem h k then ok := false;
+          Hashtbl.remove h k
+        end
+        else begin
+          let fits = Hashtbl.mem h k || Hashtbl.length h < capacity in
+          if Map_s.put m k 1 <> fits then ok := false
+          else if fits then Hashtbl.replace h k 1
+        end;
+        if Map_s.size m > capacity then ok := false
+      done;
+      !ok && Map_s.size m = Hashtbl.length h)
 
 let test_sketch_packed_consistency () =
   let s = Sketch.create ~depth:3 ~width:64 () in
@@ -321,11 +507,11 @@ let test_intmap_tombstone_bounded () =
   let window = 32 in
   let m = Intmap.create ~capacity:(window + 1) in
   for i = 0 to window - 1 do
-    Alcotest.(check bool) "seed" true (Intmap.put m i i)
+    Alcotest.(check bool) "seed" true (Intmap.put m i 0 i)
   done;
   for i = 0 to 9_999 do
-    Alcotest.(check bool) "erase" true (Intmap.erase m i);
-    Alcotest.(check bool) "insert" true (Intmap.put m (i + window) i)
+    Alcotest.(check bool) "erase" true (Intmap.erase m i 0);
+    Alcotest.(check bool) "insert" true (Intmap.put m (i + window) 0 i)
   done;
   Alcotest.(check int) "window intact" window (Intmap.length m);
   Alcotest.(check bool)
@@ -336,7 +522,7 @@ let test_intmap_tombstone_bounded () =
   Alcotest.(check bool) "probes short" true (max_probe <= 64);
   for i = 10_000 to 10_000 + window - 1 do
     Alcotest.(check int) (Printf.sprintf "resident %d" i) (i - window)
-      (Intmap.find m i ~absent:(-1))
+      (Intmap.find m i 0 ~absent:(-1))
   done
 
 let prop_intmap_table_bound =
@@ -350,8 +536,8 @@ let prop_intmap_table_bound =
       for _ = 1 to 2_000 do
         let k = Random.State.int rng 400 in
         (match Random.State.int rng 2 with
-        | 0 -> ignore (Intmap.put m k k)
-        | _ -> ignore (Intmap.erase m k));
+        | 0 -> ignore (Intmap.put m k (k land 3) k)
+        | _ -> ignore (Intmap.erase m k (k land 3)));
         if Intmap.table_slots m > bound then ok := false
       done;
       !ok)
@@ -415,10 +601,17 @@ let suite =
     Alcotest.test_case "intmap capacity and growth" `Quick test_intmap_capacity_and_growth;
     Alcotest.test_case "map hybrid views agree" `Quick test_map_hybrid_views_agree;
     Alcotest.test_case "map capacity spans views" `Quick test_map_capacity_spans_views;
+    Alcotest.test_case "pair keys with leading zeros" `Quick test_pair_leading_zeros;
+    Alcotest.test_case "15-byte key goes wide" `Quick test_wide_key_beyond_pair;
     Alcotest.test_case "sketch packed consistency" `Quick test_sketch_packed_consistency;
     Alcotest.test_case "dchain allocate_idx" `Quick test_dchain_allocate_idx;
     QCheck_alcotest.to_alcotest prop_key_roundtrip;
     QCheck_alcotest.to_alcotest prop_intmap_vs_hashtbl;
+    QCheck_alcotest.to_alcotest prop_pair_roundtrip;
+    QCheck_alcotest.to_alcotest prop_pair_injective;
+    QCheck_alcotest.to_alcotest prop_pair_split;
+    QCheck_alcotest.to_alcotest prop_map_views_agree;
+    QCheck_alcotest.to_alcotest prop_map_capacity_mixed;
     Alcotest.test_case "vector" `Quick test_vector;
     Alcotest.test_case "dchain allocate all" `Quick test_dchain_allocate_all;
     Alcotest.test_case "dchain expiry order" `Quick test_dchain_expiry_order;
