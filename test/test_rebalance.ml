@@ -114,7 +114,21 @@ let test_pool_agrees_with_study () =
     s.Runtime.Pool.migrated_buckets;
   Alcotest.(check int) "migrated flows agree" r.Runtime.Rebalance.migrated_flows
     s.Runtime.Pool.migrated_flows;
-  Alcotest.(check int) "no evictions" 0 s.Runtime.Pool.migration_drops
+  Alcotest.(check int) "no evictions" 0 s.Runtime.Pool.migration_drops;
+  (* epoch by epoch, the study's dynamic imbalance is the max/mean of the
+     per-core counts the pool actually steered *)
+  for e = 0 to r.Runtime.Rebalance.epochs - 1 do
+    let counts = Array.make 4 0 in
+    for i = e * epoch_pkts to ((e + 1) * epoch_pkts) - 1 do
+      let q = s.Runtime.Pool.last_assignment.(i) in
+      counts.(q) <- counts.(q) + 1
+    done;
+    let mean = float_of_int epoch_pkts /. 4.0 in
+    let pool_imbalance = float_of_int (Array.fold_left max 0 counts) /. mean in
+    Alcotest.(check (float 1e-9))
+      (Printf.sprintf "epoch %d imbalance agrees" e)
+      r.Runtime.Rebalance.dynamic_imbalance.(e) pool_imbalance
+  done
 
 (* --- barrier branches: shared state, replicas, forced write-offs ----------- *)
 
