@@ -34,6 +34,10 @@ case "${1:?usage: cli_smoke.sh <matrix-entry-name>}" in
     cli run fw --cores 8 --pkts 16384 --flows 1000 --rebalance epoch=4096 | tee cli-rebalance.txt
     grep -q 'pool sequential agreement: 16384/16384' cli-rebalance.txt
     grep -q 'pool rebalancing' cli-rebalance.txt
+    # The offline study over the same shared-table steering: its seeded
+    # decisions are exact.
+    cli rebalance fw --cores 8 --pkts 24000 --flows 1000 --epoch 4096 | tee cli-study.txt
+    grep -q 'rebalances: 3 (threshold 0.00); 49 buckets, 74 flow states moved' cli-study.txt
     ;;
 
   churn)

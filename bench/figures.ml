@@ -288,7 +288,9 @@ let ext_attack () =
     |> Array.of_list
   in
   let spread plan =
-    let counts = Runtime.Parallel.dispatch_counts plan attack in
+    let rss = Runtime.Dispatch.create plan in
+    Array.iter (fun p -> ignore (Runtime.Dispatch.counted rss p : int)) attack;
+    let counts = Runtime.Dispatch.counts rss in
     let busiest = Array.fold_left max 0 counts in
     (float_of_int busiest /. float_of_int (Array.length attack), counts)
   in

@@ -6,7 +6,7 @@
    - {e differential}: cluster verdicts must be positionally identical to
      a single-machine sequential run of the same trace — in steady state,
      across a join and a graceful leave (state migrated with
-     {!Runtime.Balancer.migrate_by}), and across a machine failure whose
+     {!Runtime.Balancer.migrate}), and across a machine failure whose
      replica is rebuilt from the SCR digest log.  This is the cluster
      statement of the paper's semantics-preservation contract.
    - {e minimal disruption}: maglev table reassignment on join/leave must

@@ -76,7 +76,7 @@ let epoch_imbalances (s : Runtime.Pool.stats) =
         let c = s.Runtime.Pool.last_assignment.(i) in
         counts.(c) <- counts.(c) + 1
       done;
-      Runtime.Rebalance.imbalance_of counts)
+      Runtime.Dispatch.imbalance counts)
 
 (* mean excess imbalance (max/mean - 1) over the epochs where the
    balancer has had a chance to act (after the first boundary) *)

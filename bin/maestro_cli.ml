@@ -365,7 +365,7 @@ let run_cmd =
         Format.printf "per-core packets: %s (imbalance %.2f)@."
           (String.concat ", "
              (Array.to_list (Array.map string_of_int s.Runtime.Parallel.per_core_pkts)))
-          (Runtime.Parallel.imbalance s);
+          (Runtime.Dispatch.imbalance s.Runtime.Parallel.per_core_pkts);
         Format.printf "state ops: %d reads, %d writes; %d read-pkts, %d write-pkts@."
           s.Runtime.Parallel.reads s.Runtime.Parallel.writes s.Runtime.Parallel.read_pkts
           s.Runtime.Parallel.write_pkts;

@@ -167,11 +167,11 @@ let key_attempts t = t.key_attempts
 let key_free_bits t = t.key_free_bits
 let scr_admissible t = t.scr <> None
 
-let front_hash t (pkt : Packet.Pkt.t) = Nic.Rss.hash_of t.engines.(pkt.Packet.Pkt.port) pkt
+let front_hash t (pkt : Packet.Pkt.t) = Nic.Rss.hash_int t.engines.(pkt.Packet.Pkt.port) pkt
 
-let owner_of_hash table = function
-  | Some h -> Maglev.lookup table h
-  | None -> Maglev.slot_owner table 0 (* the default-queue convention, one level up *)
+let owner_of_hash table h =
+  if h >= 0 then Maglev.lookup table h
+  else Maglev.slot_owner table 0 (* the default-queue convention, one level up *)
 
 let owner_of_pkt t pkt = owner_of_hash t.table (front_hash t pkt)
 
@@ -199,8 +199,7 @@ let ensure_slot t id =
 let instances t = Array.map (function Some m -> m.inst | None -> t.placeholder) t.slots
 
 let migrate_all t =
-  let hash pkt = front_hash t pkt in
-  Runtime.Balancer.migrate_by t.mplan ~hash
+  Runtime.Balancer.migrate t.mplan ~hash:(front_hash t)
     ~owner:(fun h -> Maglev.lookup t.table h)
     ~instances:(instances t)
 
@@ -260,7 +259,7 @@ let apply_event t ~epoch ~action ~machine:id ~log ~log_len events =
           let old = t.table in
           t.table <- build_table t;
           let d = Maglev.disruption old t.table in
-          (* m's instance is still in the slot array, so migrate_by walks
+          (* m's instance is still in the slot array, so migrate walks
              it as a source; the new table never returns m as an owner *)
           let o = migrate_all t in
           reset_machine t m;
@@ -317,7 +316,7 @@ let run t trace =
     end;
     let pkt = trace.(i) in
     let h = front_hash t pkt in
-    if h = None then incr unmatched;
+    if h < 0 then incr unmatched;
     let o = owner_of_hash t.table h in
     let m =
       match t.slots.(o) with

@@ -16,7 +16,7 @@
     ([join@E:M;leave@E:M;fail@E:M]), applied at epoch boundaries:
 
     - {e join}/{e leave} migrate affected flow state between machines
-      with {!Runtime.Balancer.migrate_by} — the same plan classification
+      with {!Runtime.Balancer.migrate} — the same plan classification
       (purge-pair groups, lone maps, decodable key specs) the in-pool
       rebalancer uses, with the maglev lookup as the owner function;
     - {e fail} loses the machine's state: when the NF admits an SCR

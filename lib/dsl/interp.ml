@@ -22,6 +22,12 @@ let op_is_write = function
       true
   | Op_map_get | Op_vec_get | Op_sketch_query | Op_chain_expire -> false
 
+let lock_write e =
+  match e.kind with
+  | Op_chain_rejuv -> false
+  | Op_chain_expire -> e.expired > 0
+  | _ -> e.write
+
 exception Runtime_error of string
 
 let fail fmt = Format.kasprintf (fun s -> raise (Runtime_error s)) fmt

@@ -30,6 +30,12 @@ val op_is_write : op_kind -> bool
     write when it actually expired something — the basis for the paper's
     read-packet / write-packet distinction (§3.6). *)
 
+val lock_write : op_event -> bool
+(** The lock discipline's write classification.  Rejuvenation is not a
+    write: the per-core aging replicas absorb it (§4).  Expiry writes
+    only when it actually expired a flow.  Every other operation is a
+    write exactly when it mutates state. *)
+
 val process :
   ?on_op:(op_event -> unit) -> Ast.t -> Check.info -> Instance.t -> Packet.Pkt.t -> action
 (** Run one packet through the NF against the given state instance.  The

@@ -112,10 +112,6 @@ let hash_int t p =
   done;
   !h
 
-let hash_of t p =
-  let h = hash_int t p in
-  if h < 0 then None else Some h
-
 let dispatch t p =
   let h = hash_int t p in
   if h < 0 then 0 else Reta.lookup t.reta h

@@ -40,7 +40,7 @@ val compiled_key : t -> Toeplitz.Key.t
     if it has not happened yet). *)
 
 val uses_compiled : t -> bool
-(** Whether {!hash_of} and {!dispatch} take the table-driven fast path. *)
+(** Whether {!hash_int} and {!dispatch} take the table-driven fast path. *)
 
 val nic : t -> Model.t
 
@@ -59,9 +59,6 @@ val hash_int : t -> Packet.Pkt.t -> int
     {!Toeplitz.Key.partial} straight from {!Packet.Pkt.field_int}, so the
     call allocates nothing; sliced sets and reference engines serialize
     the input through {!Field_set.hash_input}. *)
-
-val hash_of : t -> Packet.Pkt.t -> int option
-(** {!hash_int} with the no-match sentinel as [None]. *)
 
 val dispatch : t -> Packet.Pkt.t -> int
 (** The queue (= core) this packet is steered to; unmatched packets go to

@@ -444,55 +444,54 @@ let migrate_group plan g ~hash ~owner ~instances ~moved ~dropped =
           match decode specs primary_key with
           | None -> () (* key not produced by a decodable put: leave in place *)
           | Some (port, fields) -> (
-              match hash (pkt_of_fields ?port fields) with
-              | None -> ()
-              | Some h ->
-                  let d = owner h in
-                  if d <> s then begin
-                    let tgt = instances.(d) in
-                    (* rebuild every purge key before slots are disturbed *)
-                    let purge_keys =
-                      List.map (fun (m, kv) -> (m, rebuild_key inst kv i)) g.purges
-                    in
-                    let drop_from_source () =
-                      List.iter
-                        (fun (m, key) -> ignore (State.Map_s.erase (find_map inst m) key))
-                        purge_keys;
-                      List.iter
-                        (fun v ->
-                          let _, slots = find_slots inst v in
-                          slots.(i) <- Array.make (Array.length slots.(i)) 0)
-                        g.vectors;
-                      ignore (State.Dchain.free chain i);
-                      incr dropped
-                    in
-                    let room =
-                      List.for_all
-                        (fun (m, _) ->
-                          let tm = find_map tgt m in
-                          State.Map_s.size tm < State.Map_s.capacity tm)
-                        purge_keys
-                    in
-                    if not room then drop_from_source ()
-                    else
-                      match State.Dchain.allocate_at (find_chain tgt g.chain) ~touched:touch with
-                      | None -> drop_from_source ()
-                      | Some j ->
-                          List.iter
-                            (fun v ->
-                              let _, src = find_slots inst v in
-                              let _, dst = find_slots tgt v in
-                              dst.(j) <- Array.copy src.(i);
-                              src.(i) <- Array.make (Array.length src.(i)) 0)
-                            g.vectors;
-                          List.iter
-                            (fun (m, key) ->
-                              ignore (State.Map_s.erase (find_map inst m) key);
-                              ignore (State.Map_s.put (find_map tgt m) key j))
-                            purge_keys;
-                          ignore (State.Dchain.free chain i);
-                          incr moved
-                  end))
+              let h = hash (pkt_of_fields ?port fields) in
+              if h >= 0 then
+                let d = owner h in
+                if d <> s then begin
+                  let tgt = instances.(d) in
+                  (* rebuild every purge key before slots are disturbed *)
+                  let purge_keys =
+                    List.map (fun (m, kv) -> (m, rebuild_key inst kv i)) g.purges
+                  in
+                  let drop_from_source () =
+                    List.iter
+                      (fun (m, key) -> ignore (State.Map_s.erase (find_map inst m) key))
+                      purge_keys;
+                    List.iter
+                      (fun v ->
+                        let _, slots = find_slots inst v in
+                        slots.(i) <- Array.make (Array.length slots.(i)) 0)
+                      g.vectors;
+                    ignore (State.Dchain.free chain i);
+                    incr dropped
+                  in
+                  let room =
+                    List.for_all
+                      (fun (m, _) ->
+                        let tm = find_map tgt m in
+                        State.Map_s.size tm < State.Map_s.capacity tm)
+                      purge_keys
+                  in
+                  if not room then drop_from_source ()
+                  else
+                    match State.Dchain.allocate_at (find_chain tgt g.chain) ~touched:touch with
+                    | None -> drop_from_source ()
+                    | Some j ->
+                        List.iter
+                          (fun v ->
+                            let _, src = find_slots inst v in
+                            let _, dst = find_slots tgt v in
+                            dst.(j) <- Array.copy src.(i);
+                            src.(i) <- Array.make (Array.length src.(i)) 0)
+                          g.vectors;
+                        List.iter
+                          (fun (m, key) ->
+                            ignore (State.Map_s.erase (find_map inst m) key);
+                            ignore (State.Map_s.put (find_map tgt m) key j))
+                          purge_keys;
+                        ignore (State.Dchain.free chain i);
+                        incr moved
+                end))
         (List.rev !entries))
     instances
 
@@ -505,31 +504,27 @@ let migrate_lone_map (name, specs) ~hash ~owner ~instances ~moved ~dropped =
           match decode specs key with
           | None -> ()
           | Some (port, fields) -> (
-              match hash (pkt_of_fields ?port fields) with
-              | None -> ()
-              | Some h ->
-                  let d = owner h in
-                  if d <> s then begin
-                    let m_d = find_map instances.(d) name in
-                    if State.Map_s.mem m_d key || State.Map_s.size m_d < State.Map_s.capacity m_d
-                    then begin
-                      ignore (State.Map_s.put m_d key v);
-                      ignore (State.Map_s.erase m_s key);
-                      incr moved
-                    end
-                    else begin
-                      ignore (State.Map_s.erase m_s key);
-                      incr dropped
-                    end
-                  end))
+              let h = hash (pkt_of_fields ?port fields) in
+              if h >= 0 then
+                let d = owner h in
+                if d <> s then begin
+                  let m_d = find_map instances.(d) name in
+                  if State.Map_s.mem m_d key || State.Map_s.size m_d < State.Map_s.capacity m_d
+                  then begin
+                    ignore (State.Map_s.put m_d key v);
+                    ignore (State.Map_s.erase m_s key);
+                    incr moved
+                  end
+                  else begin
+                    ignore (State.Map_s.erase m_s key);
+                    incr dropped
+                  end
+                end))
         (State.Map_s.entries m_s))
     instances
 
-let migrate_by plan ~hash ~owner ~instances =
+let migrate plan ~hash ~owner ~instances =
   let moved = ref 0 and dropped = ref 0 in
   List.iter (fun g -> migrate_group plan g ~hash ~owner ~instances ~moved ~dropped) plan.groups;
   List.iter (fun lm -> migrate_lone_map lm ~hash ~owner ~instances ~moved ~dropped) plan.lone_maps;
   { moved_flows = !moved; dropped_flows = !dropped }
-
-let migrate plan ~hash ~mask ~dest ~instances =
-  migrate_by plan ~hash ~owner:(fun h -> dest (h land mask)) ~instances

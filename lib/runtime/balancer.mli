@@ -101,34 +101,23 @@ type outcome = {
           restarts, exactly as if it had expired *)
 }
 
-val migrate_by :
+val migrate :
   migration_plan ->
-  hash:(Packet.Pkt.t -> int option) ->
+  hash:(Packet.Pkt.t -> int) ->
   owner:(int -> int) ->
   instances:Dsl.Instance.t array ->
   outcome
-(** [migrate_by plan ~hash ~owner ~instances] walks every instance's
+(** [migrate plan ~hash ~owner ~instances] walks every instance's
     state, rebuilds each flow's key, decodes it into a pseudo-packet,
     hashes it with [hash] (an RSS key solved over the plan's sharding
-    constraints, so the hash depends only on the key fields), and moves
-    the flow's entries to instance [owner h] when that differs from the
-    current holder.  [owner] receives the raw hash — the in-pool
-    rebalancer masks it into an indirection table, the cluster tier feeds
-    it to a maglev lookup.  Chain indices are re-allocated on the target
+    constraints, so the hash depends only on the key fields; a negative
+    hash leaves the flow in place), and moves the flow's entries to
+    instance [owner h] when that differs from the current holder.
+    [owner] receives the raw hash — the in-pool rebalancer looks it up in
+    an indirection table, the cluster tier feeds it to a maglev lookup.
+    Chain indices are re-allocated on the target
     with their last-touch time preserved in recency order
     ({!State.Dchain.allocate_at}), tied vector slots are copied, and map
     entries are re-pointed — so aging, expiry order and lookups all
     survive the move.  Must only be called while the instances are
     quiesced (no worker touching them). *)
-
-val migrate :
-  migration_plan ->
-  hash:(Packet.Pkt.t -> int option) ->
-  mask:int ->
-  dest:(int -> int) ->
-  instances:Dsl.Instance.t array ->
-  outcome
-(** [migrate plan ~hash ~mask ~dest ~instances] is
-    [migrate_by plan ~hash ~owner:(fun h -> dest (h land mask)) ~instances]
-    — the single-machine indirection-table form used by the pool's
-    rebalancer. *)

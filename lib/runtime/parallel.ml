@@ -25,13 +25,6 @@ let empty_stats ~cores =
     tm_rw_sets = [];
   }
 
-let imbalance s =
-  let total = Array.fold_left ( + ) 0 s.per_core_pkts in
-  if total = 0 then 1.0
-  else
-    let mean = float_of_int total /. float_of_int s.cores in
-    float_of_int (Array.fold_left max 0 s.per_core_pkts) /. mean
-
 type result = { verdicts : Dsl.Interp.action array; stats : stats }
 
 let c_pkts = Telemetry.Counter.make "runtime.pkts" ~doc:"packets pushed through parallel plans"
@@ -61,27 +54,14 @@ let observe ops (e : Dsl.Interp.op_event) =
   | Dsl.Interp.Op_chain_rejuv -> ops.rejuvs <- ops.rejuvs + 1
   | Dsl.Interp.Op_chain_expire -> ops.expired <- ops.expired + e.Dsl.Interp.expired
   | _ -> ());
-  (* Rejuvenation is served by the per-core aging replicas (§4) and expiry
-     only writes when flows actually age out, so neither forces the write
-     lock on the fast path. *)
-  let counts_as_write =
-    match e.Dsl.Interp.kind with
-    | Dsl.Interp.Op_chain_rejuv -> false
-    | Dsl.Interp.Op_chain_expire -> e.Dsl.Interp.expired > 0
-    | _ -> e.Dsl.Interp.write
-  in
-  if counts_as_write then ops.w <- ops.w + 1 else ops.r <- ops.r + 1
+  if Dsl.Interp.lock_write e then ops.w <- ops.w + 1 else ops.r <- ops.r + 1
 
-let run ?reta (plan : Maestro.Plan.t) pkts =
+let run (plan : Maestro.Plan.t) pkts =
   Telemetry.Span.with_span "runtime/run" @@ fun () ->
   let nf = plan.Maestro.Plan.nf in
   let info = Dsl.Check.check_exn nf in
   let cores = plan.Maestro.Plan.cores in
-  let engines =
-    Array.init nf.Dsl.Ast.devices (fun port ->
-        let r = Option.map (fun retas -> retas.(port)) reta in
-        Maestro.Plan.rss_engine ?reta:r plan port)
-  in
+  let rss = Dispatch.create plan in
   let shared_nothing = plan.Maestro.Plan.strategy = Maestro.Plan.Shared_nothing in
   let scr = plan.Maestro.Plan.strategy = Maestro.Plan.Scr in
   let per_core_state = shared_nothing || scr in
@@ -131,7 +111,7 @@ let run ?reta (plan : Maestro.Plan.t) pkts =
             incr rr;
             c
           end
-          else Nic.Rss.dispatch engines.(pkt.Packet.Pkt.port) pkt
+          else Dispatch.dispatch rss pkt
         in
         per_core_pkts.(core) <- per_core_pkts.(core) + 1;
         let runner = if per_core_state then runners.(core) else runners.(0) in
@@ -177,18 +157,3 @@ let run ?reta (plan : Maestro.Plan.t) pkts =
         tm_rw_sets = !tm_rw_sets;
       };
   }
-
-let dispatch_counts ?reta (plan : Maestro.Plan.t) pkts =
-  let nf = plan.Maestro.Plan.nf in
-  let engines =
-    Array.init nf.Dsl.Ast.devices (fun port ->
-        let r = Option.map (fun retas -> retas.(port)) reta in
-        Maestro.Plan.rss_engine ?reta:r plan port)
-  in
-  let counts = Array.make plan.Maestro.Plan.cores 0 in
-  Array.iter
-    (fun pkt ->
-      let core = Nic.Rss.dispatch engines.(pkt.Packet.Pkt.port) pkt in
-      counts.(core) <- counts.(core) + 1)
-    pkts;
-  counts

@@ -1,7 +1,7 @@
 (** Deterministic execution of generated parallel NFs.
 
-    Packets are steered by the plan's actual RSS engines (Toeplitz hash +
-    indirection table) to per-core workers.  Shared-nothing workers own
+    Packets are steered through {!Dispatch} — the plan's actual RSS
+    engines (Toeplitz hash + indirection table) — to per-core workers.  Shared-nothing workers own
     per-core state instances with divided capacities; lock-based, TM and
     load-balance workers share one instance and are serialized in arrival
     order — which is exactly the semantics their coordination guarantees, so
@@ -34,17 +34,10 @@ type stats = {
 
 val empty_stats : cores:int -> stats
 
-val imbalance : stats -> float
-(** max/mean of the per-core packet counts (1.0 = perfectly even). *)
-
 type result = { verdicts : Dsl.Interp.action array; stats : stats }
 
 val run_sequential : Dsl.Ast.t -> Packet.Pkt.t array -> Dsl.Interp.action array
 
-val run : ?reta:Nic.Reta.t array -> Maestro.Plan.t -> Packet.Pkt.t array -> result
-(** Execute the plan over the trace.  [reta] overrides the per-port
-    indirection tables (for RSS++-style rebalanced tables, Fig. 5). *)
-
-val dispatch_counts : ?reta:Nic.Reta.t array -> Maestro.Plan.t -> Packet.Pkt.t array -> int array
-(** Per-core packet counts under the plan's RSS configuration, without
-    executing the NF. *)
+val run : Maestro.Plan.t -> Packet.Pkt.t array -> result
+(** Execute the plan over the trace, steering packets through
+    {!Dispatch.dispatch}. *)

@@ -701,17 +701,10 @@ let run ?(rebalance = Balancer.Off) ?(adaptive = Adaptive.Off) (t : t) (plan : M
   let live = Array.init cores (fun c -> not (Atomic.get t.workers.(c).failed)) in
   if not (Array.exists Fun.id live) then
     invalid_arg "Pool.run: every core of the plan has failed permanently";
-  let engines =
-    Array.init nports (fun port ->
-        let e = Maestro.Plan.rss_engine plan port in
-        if Array.for_all Fun.id live then e
-        else begin
-          (* failover: migrate dead cores' RSS buckets to live cores so no
-             flow is steered at a queue nobody serves (RSS++-style remap) *)
-          Telemetry.Counter.incr c_remaps;
-          Nic.Rss.with_reta e (Nic.Reta.remap (Nic.Rss.reta e) ~live)
-        end)
-  in
+  (* failover: dead cores' RSS buckets migrate to live cores so no flow is
+     steered at a queue nobody serves (RSS++-style remap, one per port) *)
+  let rss = Dispatch.create ~live plan in
+  if not (Array.for_all Fun.id live) then Telemetry.Counter.add c_remaps nports;
   let npkts = Array.length pkts in
   let verdicts = Array.make npkts Dsl.Interp.Dropped in
   let remaining = Atomic.make 0 in
@@ -742,23 +735,13 @@ let run ?(rebalance = Balancer.Off) ?(adaptive = Adaptive.Off) (t : t) (plan : M
     | Adaptive.Off, Balancer.On cfg, _ -> (None, Rebalancing cfg, cfg.Balancer.epoch_pkts)
     | Adaptive.Off, Balancer.Off, _ -> (None, No_barrier, max 1 npkts)
   in
-  (* ONE table shared by all ports under a barrier policy: Maestro's
-     symmetric per-port keys give both directions of a flow the same hash,
-     hence the same bucket on every port, so a single table keeps each
-     flow on exactly one core no matter the arrival port *)
-  let table = ref (Nic.Rss.reta engines.(0)) in
-  let size = Nic.Reta.size !table in
-  let mask = size - 1 in
-  let set_table tab =
-    table := tab;
-    Array.iteri (fun p e -> engines.(p) <- Nic.Rss.with_reta e tab) engines
-  in
+  (* ONE table shared by all ports under a barrier policy, so a moved
+     bucket moves each of its flows whole ({!Dispatch}) *)
   (match barrier with
   | No_barrier -> ()
   | Rebalancing _ | Adapting _ ->
-      if Array.exists (fun e -> Nic.Reta.size (Nic.Rss.reta e) <> size) engines then
-        invalid_arg "Pool.run: rebalancing and adaptive switching require equal-size port tables";
-      set_table !table);
+      if not (Dispatch.share rss) then
+        invalid_arg "Pool.run: rebalancing and adaptive switching require equal-size port tables");
   (* ---- rung state ------------------------------------------------------
      A static plan maps onto its ladder rung: shared-nothing and
      load-balance get per-core instances, lock/TM one shared instance under
@@ -850,18 +833,10 @@ let run ?(rebalance = Balancer.Off) ?(adaptive = Adaptive.Off) (t : t) (plan : M
     Telemetry.Counter.add c_moved_flows o.Balancer.moved_flows;
     Telemetry.Counter.add c_migration_drops o.Balancer.dropped_flows
   in
-  (* state-rebuilt pseudo-packets carry whatever port the key decodes to *)
-  let migration_hash (pk : Packet.Pkt.t) =
-    let port = if pk.Packet.Pkt.port < nports then pk.Packet.Pkt.port else 0 in
-    let h = Nic.Rss.hash_int engines.(port) pk in
-    if h < 0 then None else Some h
-  in
-  (* hand [instances]' flow state to the cores [candidate] gives its buckets *)
-  let migrate_along candidate instances =
-    let dentries = Nic.Reta.entries candidate in
+  (* hand [instances]' flow state to the cores the table gives its buckets *)
+  let migrate_along instances =
     account
-      (Balancer.migrate (Lazy.force mplan) ~hash:migration_hash ~mask
-         ~dest:(fun b -> dentries.(b))
+      (Balancer.migrate (Lazy.force mplan) ~hash:(Dispatch.hash rss) ~owner:(Dispatch.owner rss)
          ~instances)
   in
   (* per-core flow state — not load-balance's read-only replicas *)
@@ -869,8 +844,8 @@ let run ?(rebalance = Balancer.Off) ?(adaptive = Adaptive.Off) (t : t) (plan : M
   (* adopt [candidate]; sharded state follows its buckets when the
      migration is exact, and is otherwise stranded as in a plain remap *)
   let retable candidate =
-    if sharded () && Balancer.exact (Lazy.force mplan) then migrate_along candidate !insts;
-    set_table candidate
+    Dispatch.set_table rss candidate;
+    if sharded () && Balancer.exact (Lazy.force mplan) then migrate_along !insts
   in
   (* ---- adaptive conversions ---------------------------------------------- *)
   (* collapse the current rung's state into ONE full instance *)
@@ -884,9 +859,8 @@ let run ?(rebalance = Balancer.Off) ?(adaptive = Adaptive.Off) (t : t) (plan : M
         let merged = fresh () in
         account
           (Balancer.migrate (Lazy.force mplan)
-             ~hash:(fun _ -> Some 0)
-             ~mask:0
-             ~dest:(fun _ -> 0)
+             ~hash:(fun _ -> 0)
+             ~owner:(fun _ -> 0)
              ~instances:(Array.append [| merged |] !insts));
         merged
     | Maestro.Ladder.Scr ->
@@ -911,7 +885,7 @@ let run ?(rebalance = Balancer.Off) ?(adaptive = Adaptive.Off) (t : t) (plan : M
            init entries — is already in every fresh shard) *)
         let merged = collapse () in
         let shards = Array.init cores (fun c -> if c = 0 then merged else fresh ()) in
-        migrate_along !table shards;
+        migrate_along shards;
         insts := shards
     | Maestro.Ladder.Scr ->
         (* seed every replica from the collapsed state; exact copies
@@ -946,35 +920,14 @@ let run ?(rebalance = Balancer.Off) ?(adaptive = Adaptive.Off) (t : t) (plan : M
     !newly_dead
   in
   (* ---- dispatch ---------------------------------------------------------- *)
-  (* a static run dispatches exactly what the NIC does in hardware *)
-  let nic_dispatch i =
-    let p = pkts.(i) in
-    Nic.Rss.dispatch engines.(p.Packet.Pkt.port) p
-  in
-  (* a barrier policy also counts, on the producer next to the dispatch it
+  (* a static run dispatches exactly what the NIC does in hardware; a
+     barrier policy also counts, on the producer next to the dispatch it
      already performs — zero worker-side cost, and deterministic (CI gates
-     compare the resulting counters): per-bucket load for the balancer and
-     per-core would-be RSS counts.  Counted in EVERY rung: SCR's
+     compare the resulting counters).  Counted in EVERY rung: SCR's
      round-robin spray and the serial funnel hide skew from the actual
      dispatch, but the controller must see the imbalance the
      shared-nothing rung WOULD suffer. *)
   let counting = match barrier with No_barrier -> false | Rebalancing _ | Adapting _ -> true in
-  let bucket_loads = Array.make size 0.0 in
-  let counts = Array.make cores 0 in
-  let counted_dispatch i =
-    let p = pkts.(i) in
-    let h = Nic.Rss.hash_int engines.(p.Packet.Pkt.port) p in
-    let q =
-      if h < 0 then 0
-      else begin
-        let b = h land mask in
-        bucket_loads.(b) <- bucket_loads.(b) +. 1.0;
-        Nic.Reta.lookup !table h
-      end
-    in
-    counts.(q) <- counts.(q) + 1;
-    q
-  in
   (* ---- the epoch driver -------------------------------------------------- *)
   t.scr_crash_hook <-
     Option.map
@@ -1010,13 +963,12 @@ let run ?(rebalance = Balancer.Off) ?(adaptive = Adaptive.Off) (t : t) (plan : M
   while !pos < npkts do
     let lo = !pos in
     let hi = min (lo + epoch_pkts) npkts in
-    Array.fill bucket_loads 0 size 0.0;
-    Array.fill counts 0 cores 0;
+    Dispatch.reset rss;
     (match !rung with
     | Maestro.Ladder.Scr ->
         if counting then
           for i = lo to hi - 1 do
-            ignore (counted_dispatch i)
+            ignore (Dispatch.counted rss pkts.(i) : int)
           done;
         spray t ~prog:(Option.get scr_prog) ~live ~rr ~log:push_log
           ~replay:(fun core digest len ->
@@ -1027,14 +979,14 @@ let run ?(rebalance = Balancer.Off) ?(adaptive = Adaptive.Off) (t : t) (plan : M
     | (Maestro.Ladder.Shared_nothing | Maestro.Ladder.Lock_based | Maestro.Ladder.Serial) as r ->
         let dispatch =
           match (barrier, r) with
-          | No_barrier, _ -> nic_dispatch
+          | No_barrier, _ -> fun i -> Dispatch.dispatch rss pkts.(i)
           | _, Maestro.Ladder.Serial ->
               (* the serial funnel: every packet to the first live core *)
               let core = first_live () in
               fun i ->
-                ignore (counted_dispatch i);
+                ignore (Dispatch.counted rss pkts.(i) : int);
                 core
-          | _ -> counted_dispatch
+          | _ -> fun i -> Dispatch.counted rss pkts.(i)
         in
         stream t ~cores
           ~task:(batch_task ~locked:(r = Maestro.Ladder.Lock_based))
@@ -1054,18 +1006,18 @@ let run ?(rebalance = Balancer.Off) ?(adaptive = Adaptive.Off) (t : t) (plan : M
           (* voluntary moves need no sharded state or an exact migration;
              a partially-migratable NF moves buckets only when a write-off
              forces it *)
-          let wanted =
-            ((not (sharded ())) || Balancer.exact (Lazy.force mplan))
-            && Rebalance.imbalance_of counts > cfg.Balancer.threshold
+          let proposal =
+            if (not (sharded ())) || Balancer.exact (Lazy.force mplan) then
+              Dispatch.propose rss ~threshold:cfg.Balancer.threshold
+            else None
           in
-          if newly_dead || wanted then begin
-            let candidate =
-              if wanted then Nic.Reta.rebalance !table ~bucket_load:bucket_loads else !table
-            in
+          if newly_dead || proposal <> None then begin
+            let table = Dispatch.table rss in
+            let candidate = Option.value proposal ~default:table in
             let candidate =
               if Array.for_all Fun.id live then candidate else Nic.Reta.remap candidate ~live
             in
-            let moves = List.length (Nic.Reta.diff !table candidate) in
+            let moves = List.length (Nic.Reta.diff table candidate) in
             if moves > 0 then
               Telemetry.Span.with_span "pool/rebalance" (fun () ->
                   retable candidate;
@@ -1087,8 +1039,9 @@ let run ?(rebalance = Balancer.Off) ?(adaptive = Adaptive.Off) (t : t) (plan : M
            recovery path *)
         let newly_dead = reap () in
         if newly_dead then begin
-          let candidate = Nic.Reta.remap !table ~live in
-          if Nic.Reta.diff !table candidate <> [] then begin
+          let table = Dispatch.table rss in
+          let candidate = Nic.Reta.remap table ~live in
+          if Nic.Reta.diff table candidate <> [] then begin
             retable candidate;
             Telemetry.Counter.incr c_remaps;
             (* a write-off remap moves flows between cores exactly like a
@@ -1101,11 +1054,11 @@ let run ?(rebalance = Balancer.Off) ?(adaptive = Adaptive.Off) (t : t) (plan : M
         let restarts_now = Supervisor.restarts t.supervisor in
         let digest_now = t.scr_digest_bytes in
         let live_counts =
-          Array.of_list (List.filteri (fun c _ -> live.(c)) (Array.to_list counts))
+          Array.of_list (List.filteri (fun c _ -> live.(c)) (Array.to_list (Dispatch.counts rss)))
         in
         let obs =
           {
-            Adaptive.imbalance = Rebalance.imbalance_of live_counts;
+            Adaptive.imbalance = Dispatch.imbalance live_counts;
             drops = drops_now - !drops0;
             restarts = restarts_now - !restarts0;
             digest_bytes = digest_now - !digest0;

@@ -218,7 +218,7 @@ val run :
     The hand-off is streamed, per batch.  For the RSS-steered disciplines
     (shared-nothing, load-balance, lock, TM, and the adaptive
     shared-nothing and lock rungs) the producer dispatches one packet at a
-    time through {!Nic.Rss.dispatch}, stages its index in the target
+    time through {!Dispatch.dispatch}, stages its index in the target
     core's buffer of {!batch_size} packets and submits the buffer as soon
     as it is full, so the workers run while the producer is still
     dispatching; partial buffers are flushed at the end of the trace or at
@@ -239,7 +239,7 @@ val run :
     [rebalance] (default [Off], which is the zero-cost single-pass path)
     turns on online RSS++ rebalancing: the trace is processed in epochs
     of {!Balancer.config.epoch_pkts} packets with per-bucket load counted
-    at dispatch; at each epoch boundary the pool quiesces (every
+    at dispatch ({!Dispatch.counted}); at each epoch boundary the pool quiesces (every
     submitted batch has retired) and, when max/mean core imbalance
     exceeds the threshold — or a core was written off during the epoch,
     which counts as a {e forced} rebalance — hot buckets move to

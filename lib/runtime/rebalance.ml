@@ -13,13 +13,6 @@ let c_migrated_buckets =
 let c_migrated_flows =
   Telemetry.Counter.make "rebalance.migrated_flows" ~doc:"flow states moved across cores"
 
-let imbalance_of counts =
-  let total = Array.fold_left ( + ) 0 counts in
-  if total = 0 then 1.0
-  else
-    let mean = float_of_int total /. float_of_int (Array.length counts) in
-    float_of_int (Array.fold_left max 0 counts) /. mean
-
 let study ?(threshold = 0.0) (plan : Maestro.Plan.t) pkts ~epoch_pkts =
   if epoch_pkts < 1 then Error "Rebalance.study: epoch_pkts must be >= 1"
   else if Array.length pkts < epoch_pkts then
@@ -27,20 +20,12 @@ let study ?(threshold = 0.0) (plan : Maestro.Plan.t) pkts ~epoch_pkts =
       (Printf.sprintf "Rebalance.study: trace shorter than one epoch (%d packets, epoch %d)"
          (Array.length pkts) epoch_pkts)
   else begin
-    let nf = plan.Maestro.Plan.nf in
-    let cores = plan.Maestro.Plan.cores in
-    let nports = nf.Dsl.Ast.devices in
-    let static_engines = Array.init nports (fun port -> Maestro.Plan.rss_engine plan port) in
-    let dynamic_engines = Array.init nports (fun port -> Maestro.Plan.rss_engine plan port) in
-    let size = Nic.Reta.size (Nic.Rss.reta dynamic_engines.(0)) in
-    if Array.exists (fun e -> Nic.Reta.size (Nic.Rss.reta e) <> size) dynamic_engines then
+    (* the static reference keeps the per-port tables; the dynamic run
+       shares one table across ports, as the pool's balancer does *)
+    let static = Dispatch.create plan and dynamic = Dispatch.create plan in
+    if not (Dispatch.share dynamic) then
       Error "Rebalance.study: port indirection tables differ in size"
     else begin
-      (* one table for all ports: symmetric keys put both directions of a
-         flow in the same bucket index, so a single rebalanced table keeps
-         the flow on one core regardless of arrival port *)
-      let table = ref (Nic.Rss.reta dynamic_engines.(0)) in
-      let mask = size - 1 in
       let epochs = Array.length pkts / epoch_pkts in
       let static_imbalance = Array.make epochs 1.0 in
       let dynamic_imbalance = Array.make epochs 1.0 in
@@ -48,54 +33,42 @@ let study ?(threshold = 0.0) (plan : Maestro.Plan.t) pkts ~epoch_pkts =
       let migrated_buckets = ref 0 and migrated_flows = ref 0 in
       (* distinct flows resident per bucket, cumulative since the start of
          the trace — mirroring the state a shared-nothing core accumulates *)
-      let bucket_flows : (int * Packet.Flow.t, unit) Hashtbl.t = Hashtbl.create 4096 in
-      let flows_in b =
-        Hashtbl.fold (fun (b', _) () acc -> if b' = b then acc + 1 else acc) bucket_flows 0
-      in
+      let seen : (int * Packet.Flow.t, unit) Hashtbl.t = Hashtbl.create 4096 in
+      let flows_in = Array.make (Nic.Reta.size (Dispatch.table dynamic)) 0 in
       for e = 0 to epochs - 1 do
-        let slice = Array.sub pkts (e * epoch_pkts) epoch_pkts in
-        (* static reference: fixed per-port tables *)
-        let s_counts = Array.make cores 0 in
-        Array.iter
-          (fun (pkt : Packet.Pkt.t) ->
-            let q = Nic.Rss.dispatch static_engines.(pkt.Packet.Pkt.port) pkt in
-            s_counts.(q) <- s_counts.(q) + 1)
-          slice;
-        static_imbalance.(e) <- imbalance_of s_counts;
-        (* dynamic: per-port hashes, shared table *)
-        let d_counts = Array.make cores 0 in
-        let bucket_loads = Array.make size 0.0 in
-        Array.iter
-          (fun (pkt : Packet.Pkt.t) ->
-            let q =
-              match Nic.Rss.hash_of dynamic_engines.(pkt.Packet.Pkt.port) pkt with
-              | Some h ->
-                  let b = h land mask in
-                  bucket_loads.(b) <- bucket_loads.(b) +. 1.0;
-                  Hashtbl.replace bucket_flows
-                    (b, Packet.Flow.normalize (Packet.Flow.of_pkt pkt))
-                    ();
-                  Nic.Reta.lookup !table h
-              | None -> 0
-            in
-            d_counts.(q) <- d_counts.(q) + 1)
-          slice;
-        dynamic_imbalance.(e) <- imbalance_of d_counts;
+        Dispatch.reset static;
+        Dispatch.reset dynamic;
+        for i = e * epoch_pkts to ((e + 1) * epoch_pkts) - 1 do
+          let pkt = pkts.(i) in
+          ignore (Dispatch.counted static pkt : int);
+          let b = Dispatch.bucket dynamic pkt in
+          if b >= 0 then begin
+            let key = (b, Packet.Flow.normalize (Packet.Flow.of_pkt pkt)) in
+            if not (Hashtbl.mem seen key) then begin
+              Hashtbl.add seen key ();
+              flows_in.(b) <- flows_in.(b) + 1
+            end
+          end;
+          ignore (Dispatch.counted dynamic pkt : int)
+        done;
+        static_imbalance.(e) <- Dispatch.imbalance (Dispatch.counts static);
+        dynamic_imbalance.(e) <- Dispatch.imbalance (Dispatch.counts dynamic);
         (* rebalance between epochs only (there is nothing to gain after
            the last), and only when the observed imbalance warrants it *)
-        if e < epochs - 1 && imbalance_of d_counts > threshold then begin
-          let candidate = Nic.Reta.rebalance !table ~bucket_load:bucket_loads in
-          let moves = Nic.Reta.diff !table candidate in
-          if moves <> [] then begin
-            incr rebalances;
-            List.iter
-              (fun (b, _, _) ->
-                incr migrated_buckets;
-                migrated_flows := !migrated_flows + flows_in b)
-              moves;
-            table := candidate
-          end
-        end
+        if e < epochs - 1 then
+          match Dispatch.propose dynamic ~threshold with
+          | None -> ()
+          | Some candidate ->
+              let moves = Nic.Reta.diff (Dispatch.table dynamic) candidate in
+              if moves <> [] then begin
+                incr rebalances;
+                List.iter
+                  (fun (b, _, _) ->
+                    incr migrated_buckets;
+                    migrated_flows := !migrated_flows + flows_in.(b))
+                  moves;
+                Dispatch.set_table dynamic candidate
+              end
       done;
       Telemetry.Counter.add c_migrated_buckets !migrated_buckets;
       Telemetry.Counter.add c_migrated_flows !migrated_flows;

@@ -27,10 +27,6 @@ type report = {
           the measured counterpart in its stats) *)
 }
 
-val imbalance_of : int array -> float
-(** max/mean of per-core packet counts; 1.0 when perfectly balanced (and
-    by convention when the total is zero). *)
-
 val study :
   ?threshold:float ->
   Maestro.Plan.t ->

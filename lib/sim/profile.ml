@@ -57,13 +57,6 @@ let of_trace ?(skip = 0) nf pkts =
         | Dsl.Interp.Op_chain_alloc | Dsl.Interp.Op_chain_rejuv | Dsl.Interp.Op_chain_expire ->
             incr chain_ops
         | _ -> ());
-        (* lock-discipline view: rejuvenation is absorbed by per-core aging *)
-        let lock_write =
-          match e.Dsl.Interp.kind with
-          | Dsl.Interp.Op_chain_rejuv -> false
-          | Dsl.Interp.Op_chain_expire -> e.Dsl.Interp.expired > 0
-          | _ -> e.Dsl.Interp.write
-        in
         (* transactional view: every mutation is a transactional write *)
         let tm_write =
           match e.Dsl.Interp.kind with
@@ -71,7 +64,7 @@ let of_trace ?(skip = 0) nf pkts =
           | Dsl.Interp.Op_chain_expire -> e.Dsl.Interp.expired > 0
           | _ -> e.Dsl.Interp.write
         in
-        if lock_write then begin
+        if Dsl.Interp.lock_write e then begin
           incr writes;
           wrote := true
         end

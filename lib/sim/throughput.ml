@@ -17,40 +17,23 @@ let bottleneck_name = function
 let c_evals = Telemetry.Counter.make "sim.evaluations" ~doc:"throughput-model evaluations"
 let h_share = Telemetry.Histogram.make "sim.core_share" ~doc:"per-core traffic share per evaluation"
 
-let shares_of ?(balanced = false) (plan : Maestro.Plan.t) pkts =
-  let nf = plan.Maestro.Plan.nf in
-  let cores = plan.Maestro.Plan.cores in
-  let engines =
-    Array.init nf.Dsl.Ast.devices (fun port -> Maestro.Plan.rss_engine plan port)
-  in
-  let engines =
-    if not balanced then engines
-    else
-      Array.map
-        (fun engine ->
-          let reta = Nic.Rss.reta engine in
-          let load = Array.make (Nic.Reta.size reta) 0.0 in
-          Array.iter
-            (fun pkt ->
-              match Nic.Rss.hash_of engine pkt with
-              | Some h -> load.(h land (Nic.Reta.size reta - 1)) <- load.(h land (Nic.Reta.size reta - 1)) +. 1.0
-              | None -> ())
-            pkts;
-          Nic.Rss.with_reta engine (Nic.Reta.rebalance reta ~bucket_load:load))
-        engines
-  in
-  let counts = Array.make cores 0 in
-  Array.iter
-    (fun pkt ->
-      let q = Nic.Rss.dispatch engines.(pkt.Packet.Pkt.port) pkt in
-      counts.(q) <- counts.(q) + 1)
-    pkts;
-  let total = Float.max 1.0 (float_of_int (Array.fold_left ( + ) 0 counts)) in
-  Array.map (fun c -> float_of_int c /. total) counts
-
 let shares_of_counts counts =
   let total = Float.max 1.0 (float_of_int (Array.fold_left ( + ) 0 counts)) in
   Array.map (fun c -> float_of_int c /. total) counts
+
+let shares_of ?(balanced = false) (plan : Maestro.Plan.t) pkts =
+  let rss = Runtime.Dispatch.create plan in
+  let count () = Array.iter (fun p -> ignore (Runtime.Dispatch.counted rss p : int)) pkts in
+  (* balanced: one RSS++ rebalance of the shared table over the whole
+     trace's bucket loads — per-port tables rebalanced apart could split
+     the two directions of a flow, which shared-nothing cannot run *)
+  if balanced && Runtime.Dispatch.share rss then begin
+    count ();
+    Option.iter (Runtime.Dispatch.set_table rss) (Runtime.Dispatch.propose rss ~threshold:0.0);
+    Runtime.Dispatch.reset rss
+  end;
+  count ();
+  shares_of_counts (Runtime.Dispatch.counts rss)
 
 let shares_of_pool_stats (s : Runtime.Pool.stats) =
   (* prefer the pool's own post-rebalance share measurement (kept current

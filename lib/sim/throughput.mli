@@ -48,8 +48,10 @@ val evaluate :
   Profile.t ->
   Packet.Pkt.t array ->
   eval
-(** [balanced_reta] applies RSS++-style static table rebalancing using the
-    trace's observed bucket loads (Fig. 5's "balanced" series).
+(** [balanced_reta] applies one RSS++-style static rebalance, over the
+    trace's observed bucket loads, to ONE table shared by all ports
+    ({!Runtime.Dispatch.share}), so both directions of a flow stay on one
+    core (Fig. 5's "balanced" series).
     [measured_shares] bypasses the model's own RSS dispatch and feeds the
     contention laws per-core load shares observed elsewhere — e.g.
     {!shares_of_pool_stats} from a real {!Runtime.Pool} run — so model

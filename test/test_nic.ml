@@ -314,7 +314,7 @@ let test_rss_compiled_and_reference_dispatch_agree () =
         ~dst_port:(Random.State.int rng 0x10000)
         ()
     in
-    Alcotest.(check (option int)) "hash agrees" (Rss.hash_of slow p) (Rss.hash_of fast p);
+    Alcotest.(check int) "hash agrees" (Rss.hash_int slow p) (Rss.hash_int fast p);
     Alcotest.(check int) "dispatch agrees" (Rss.dispatch slow p) (Rss.dispatch fast p)
   done
 
@@ -393,7 +393,6 @@ let prop_compiled_hash_int_equals_reference =
               let p = random_rss_pkt rng in
               let h = Rss.hash_int slow p in
               Rss.hash_int fast p = h
-              && Rss.hash_of fast p = (if h < 0 then None else Some h)
               && Rss.dispatch fast p = Rss.dispatch slow p)
             (List.init 20 Fun.id))
         engine_sets)
@@ -404,7 +403,6 @@ let test_rss_hash_int_sentinel () =
   let icmp = Pkt.make ~proto:(Pkt.Other 1) ~ip_src:1 ~ip_dst:2 ~src_port:0 ~dst_port:0 () in
   let tcp = Pkt.make ~ip_src:1 ~ip_dst:2 ~src_port:3 ~dst_port:4 () in
   Alcotest.(check int) "no set matches" (-1) (Rss.hash_int rss icmp);
-  Alcotest.(check (option int)) "hash_of wraps the sentinel" None (Rss.hash_of rss icmp);
   Alcotest.(check bool) "32-bit hash" true
     (let h = Rss.hash_int rss tcp in
      h >= 0 && h <= 0xffffffff)

@@ -132,7 +132,9 @@ let test_policer_lock_stats_write_heavy () =
 let test_dispatch_spreads_over_cores () =
   let plan = plan_of ~cores:8 "fw" in
   let trace = mixed_trace 23 4000 512 in
-  let counts = Runtime.Parallel.dispatch_counts plan trace in
+  let rss = Runtime.Dispatch.create plan in
+  Array.iter (fun p -> ignore (Runtime.Dispatch.counted rss p : int)) trace;
+  let counts = Runtime.Dispatch.counts rss in
   Alcotest.(check int) "8 cores" 8 (Array.length counts);
   Array.iteri
     (fun i c -> Alcotest.(check bool) (Printf.sprintf "core %d used" i) true (c > 0))

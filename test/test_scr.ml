@@ -304,7 +304,8 @@ let test_parallel_model_matches_oracle () =
       Alcotest.(check bool)
         (name ^ " balanced")
         true
-        (Runtime.Parallel.imbalance par.Runtime.Parallel.stats < 1.01))
+        (Runtime.Dispatch.imbalance par.Runtime.Parallel.stats.Runtime.Parallel.per_core_pkts
+        < 1.01))
     [ "fw"; "dbridge"; "lb" ]
 
 let test_auto_takes_scr_rung_for_blocked_nfs () =
