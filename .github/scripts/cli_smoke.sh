@@ -50,6 +50,10 @@ case "${1:?usage: cli_smoke.sh <matrix-entry-name>}" in
       | tee cli-scr-crash.txt
     grep -q '1 replica rebuilds' cli-scr-crash.txt
     grep -q 'pool sequential agreement: 4000/4000' cli-scr-crash.txt
+    # Under --interp, replicas replay decoded digests through the
+    # interpreter: the reference replay path, kept covered end to end.
+    cli run fw --cores 4 --pkts 4000 --flows 200 --discipline scr --interp | tee cli-scr-interp.txt
+    grep -q 'pool sequential agreement: 4000/4000' cli-scr-interp.txt
     ;;
 
   adaptive)

@@ -208,8 +208,9 @@ let reset_machine t m =
   m.runner <- Dsl.Compile.bind_runner t.staged m.inst
 
 (* Rebuild a failed machine's replica from the digest log: replay, in
-   arrival order, exactly the log entries whose pseudo-packet the dead
-   machine owned under the pre-failure table.  SCR's trajectory-equality
+   arrival order, exactly the log entries the dead machine owned under
+   the pre-failure table (each entry is decoded only to re-hash it with
+   the front-tier key; the replay itself runs on the logged row).  SCR's trajectory-equality
    guarantee makes the scratch replica structurally identical to the
    state the machine had (including expiry, which the write-slice drives
    from the logged timestamps). *)
@@ -224,7 +225,7 @@ let replay_into t m ~old_table ~log ~log_len =
         for k = 0 to (log_len / stride) - 1 do
           let pkt = Runtime.Scr.decode prog log (k * stride) in
           if owner_of_hash old_table (front_hash t pkt) = m.id then
-            Runtime.Scr.replay repl pkt
+            Runtime.Scr.apply repl log (k * stride)
         done;
         resident_flows t m.inst
       end
@@ -354,13 +355,8 @@ let run t trace =
   in
   let steady = Array.to_list t.slots |> List.filter_map Fun.id |> List.filter (fun m -> not m.churned) in
   let imbalance_x100 =
-    match steady with
-    | [] -> 0
-    | ms ->
-        let counts = List.map (fun (m : machine) -> m.pkts) ms in
-        let mx = List.fold_left max 0 counts in
-        let mean = float_of_int (List.fold_left ( + ) 0 counts) /. float_of_int (List.length counts) in
-        if mean <= 0. then 0 else int_of_float (100. *. float_of_int mx /. mean)
+    let counts = Array.of_list (List.map (fun (m : machine) -> m.pkts) steady) in
+    int_of_float (100. *. Runtime.Dispatch.imbalance counts)
   in
   let sum f = List.fold_left (fun acc e -> acc + f e) 0 events in
   ( verdicts,

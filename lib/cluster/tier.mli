@@ -22,8 +22,9 @@
     - {e fail} loses the machine's state: when the NF admits an SCR
       digest program ({!Maestro.Scrspec}), the tier replays its retained
       digest log ({!Runtime.Scr}) filtered to the dead machine's flows
-      (each logged pseudo-packet is re-hashed with the front-tier key and
-      ownership-tested under the pre-failure table) into a scratch
+      (each logged digest is decoded only to re-hash it with the
+      front-tier key and ownership-test it under the pre-failure table,
+      then replayed from its row) into a scratch
       replica, then migrates the rebuilt entries to the surviving owners
       — recency order preserved, so expiry semantics survive the crash.
 
@@ -99,8 +100,11 @@ type stats = {
           be 0: this is the cluster-level statement of the paper's
           "flows sharing state are never split" invariant *)
   imbalance_x100 : int;
-      (** max/mean of per-machine packet counts over machines that were
-          up for the whole run, x100; meaningful for churn-free runs *)
+      (** {!Runtime.Dispatch.imbalance} (max/mean) of per-machine
+          packet counts over machines that were up for the whole run,
+          x100, truncated; like the pool's imbalance it reads 100 at
+          zero load (and with no such machine).  Meaningful for
+          churn-free runs *)
 }
 
 val run : t -> Packet.Pkt.t array -> Dsl.Interp.action array * stats

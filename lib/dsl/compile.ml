@@ -16,6 +16,11 @@
    string copy only on [put]; a [Fwd] verdict is itself a block — all
    measured by [bench/nfpath.exe]).
 
+   Field reads are staged per source.  A packet program reads each
+   header field with the direct [Pkt.t] / [encap] access chosen at stage
+   time; a row program ([stage_rows], the SCR digest replay) reads one
+   slot of a flat [int] row, so it runs without any packet at all.
+
    The staging is semantics-preserving by construction and checked by
    the differential suite: every closure mirrors one [Interp] case,
    including the op-event order, the purge-before-emit behaviour of
@@ -30,7 +35,9 @@ let nop_op (_ : Interp.op_event) = ()
    the interpreter, so overwriting the scratch on rebinding matches the
    assoc-shadowing semantics), [scratch] one reusable buffer per
    wide-key site, and [key_hi]/[key_lo] the accumulators a packed key is
-   assembled in. *)
+   assembled in.  A packet program reads its fields from [pkt]; a row
+   program from [row] at [off], or from its bound's [row_copy] of that
+   segment when the program writes fields. *)
 type ctx = {
   ints : int array;
   recs : int array array;
@@ -42,6 +49,9 @@ type ctx = {
   mutable key_hi : int;
   mutable key_lo : int;
   mutable pkt : Packet.Pkt.t;
+  mutable row : int array;
+  mutable off : int;
+  row_copy : int array;
   mutable on_op : Interp.op_event -> unit;
 }
 
@@ -57,6 +67,17 @@ type t = {
 }
 
 type bound = { b_ctx : ctx; b_entry : ctx -> Interp.action }
+
+type row_layout = {
+  stride : int;
+  fields : Packet.Field.t array;
+  port_slot : int;
+  len_slot : int;
+  ts_slot : int;
+}
+
+(* Where a staged program reads its packet fields from. *)
+type source = Pkt_source | Row_source of row_layout
 
 let fail fmt = Format.kasprintf (fun s -> raise (Interp.Runtime_error s)) fmt
 
@@ -87,8 +108,56 @@ let mask_of w = if w >= 62 then -1 else (1 lsl w) - 1
 
 let stage_span = "compile.stage"
 
-let stage (nf : Ast.t) info =
+(* The direct read of one header field of a packet, chosen at stage
+   time: [Pkt.field_int] without its per-read match on the field. *)
+let pkt_field : Packet.Field.t -> ctx -> int =
+  let open Packet.Pkt in
+  function
+  | Packet.Field.Eth_src -> fun c -> c.pkt.eth_src
+  | Packet.Field.Eth_dst -> fun c -> c.pkt.eth_dst
+  | Packet.Field.Eth_type -> fun c -> c.pkt.eth_type
+  | Packet.Field.Ip_src -> fun c -> c.pkt.ip_src
+  | Packet.Field.Ip_dst -> fun c -> c.pkt.ip_dst
+  | Packet.Field.Ip_proto -> fun c -> proto_number c.pkt.proto
+  | Packet.Field.Src_port -> fun c -> c.pkt.src_port
+  | Packet.Field.Dst_port -> fun c -> c.pkt.dst_port
+  | Packet.Field.Tunnel_id -> (
+      fun c -> match c.pkt.encap with Some e -> e.tunnel_id | None -> 0)
+  | Packet.Field.Inner_ip_src -> (
+      fun c -> match c.pkt.encap with Some e -> e.in_ip_src | None -> 0)
+  | Packet.Field.Inner_ip_dst -> (
+      fun c -> match c.pkt.encap with Some e -> e.in_ip_dst | None -> 0)
+  | Packet.Field.Inner_ip_proto -> (
+      fun c -> match c.pkt.encap with Some e -> proto_number e.in_proto | None -> 0)
+  | Packet.Field.Inner_src_port -> (
+      fun c -> match c.pkt.encap with Some e -> e.in_src_port | None -> 0)
+  | Packet.Field.Inner_dst_port -> (
+      fun c -> match c.pkt.encap with Some e -> e.in_dst_port | None -> 0)
+
+(* The row slot carrying field [f] (the last one, as a sequential decode
+   would take it), or [-1]. *)
+let field_slot l f =
+  let s = ref (-1) in
+  Array.iteri (fun j g -> if Packet.Field.equal g f then s := j) l.fields;
+  !s
+
+(* [stage_source] returns the staged program and whether it writes into
+   its row, i.e. whether a row bound must copy the segment first. *)
+let stage_source src (nf : Ast.t) info =
   Telemetry.Span.with_span stage_span @@ fun () ->
+  let row_writes = ref false in
+  (* Row reads: one [row.(off + slot)] load.  A read the layout has no
+     slot for is refused at stage time, so a row program never reads
+     past its segment. *)
+  let row_read what s : ctx -> int =
+    if s < 0 then invalid_arg ("Compile.stage_rows: the row layout has no slot for " ^ what);
+    fun c -> Array.unsafe_get c.row (c.off + s)
+  in
+  let read_now () =
+    match src with
+    | Pkt_source -> fun c -> c.pkt.Packet.Pkt.ts_ns
+    | Row_source l -> row_read "the timestamp" l.ts_slot
+  in
   let reg =
     {
       r_vars = Hashtbl.create 16;
@@ -131,10 +200,19 @@ let stage (nf : Ast.t) info =
     | Const (w, v) ->
         let v = v land mask_of w in
         fun _ -> v
-    | Field f -> fun c -> Packet.Pkt.field_int c.pkt f
-    | In_port -> fun c -> c.pkt.Packet.Pkt.port
-    | Now -> fun c -> c.pkt.Packet.Pkt.ts_ns
-    | Pkt_len -> fun c -> c.pkt.Packet.Pkt.size
+    | Field f -> (
+        match src with
+        | Pkt_source -> pkt_field f
+        | Row_source l -> row_read (Packet.Field.to_string f) (field_slot l f))
+    | In_port -> (
+        match src with
+        | Pkt_source -> fun c -> c.pkt.Packet.Pkt.port
+        | Row_source l -> row_read "the in-port" l.port_slot)
+    | Now -> read_now ()
+    | Pkt_len -> (
+        match src with
+        | Pkt_source -> fun c -> c.pkt.Packet.Pkt.size
+        | Row_source l -> row_read "the frame length" l.len_slot)
     | Var x ->
         let s = var_slot x in
         fun c -> Array.unsafe_get c.ints s
@@ -405,13 +483,11 @@ let stage (nf : Ast.t) info =
         let ev = event obj Interp.Op_chain_alloc in
         let cs = obj_slot reg.r_chains obj in
         let is = var_slot index in
+        let now = read_now () in
         let kok = crun k_ok and kfail = crun k_fail in
         fun c ->
           c.on_op ev;
-          let i =
-            State.Dchain.allocate_idx (Array.unsafe_get c.chains cs)
-              ~now:c.pkt.Packet.Pkt.ts_ns
-          in
+          let i = State.Dchain.allocate_idx (Array.unsafe_get c.chains cs) ~now:(now c) in
           if i >= 0 then begin
             Array.unsafe_set c.ints is i;
             kok c
@@ -421,12 +497,11 @@ let stage (nf : Ast.t) info =
         let ev = event obj Interp.Op_chain_rejuv in
         let cs = obj_slot reg.r_chains obj in
         let gi = cexpr index in
+        let now = read_now () in
         let kk = crun k in
         fun c ->
           c.on_op ev;
-          ignore
-            (State.Dchain.rejuvenate (Array.unsafe_get c.chains cs) (gi c)
-               ~now:c.pkt.Packet.Pkt.ts_ns);
+          ignore (State.Dchain.rejuvenate (Array.unsafe_get c.chains cs) (gi c) ~now:(now c));
           kk c
     | Chain_expire { obj; purges; age_ns; k } ->
         let ev0 =
@@ -491,10 +566,11 @@ let stage (nf : Ast.t) info =
                        freed)
                purges)
         in
+        let now = read_now () in
         let kk = crun k in
         fun c ->
           let chain = Array.unsafe_get c.chains cs in
-          let threshold = c.pkt.Packet.Pkt.ts_ns - age_ns in
+          let threshold = now c - age_ns in
           let freed = State.Dchain.expire_before chain ~threshold in
           (match freed with
           | [] -> c.on_op ev0
@@ -545,13 +621,35 @@ let stage (nf : Ast.t) info =
                 (State.Sketch.count (Array.unsafe_get c.sketches ss)
                    (Bytes.unsafe_to_string (kc c)));
               kk c)
-    | Set_field (f, e, k) ->
-        let ge = cexpr e in
+    | Set_field (f, e, k) -> (
         let kk = crun k in
-        fun c ->
-          c.pkt <- Interp.set_pkt_field c.pkt f (ge c);
-          kk c
+        match src with
+        | Pkt_source ->
+            let ge = cexpr e in
+            fun c ->
+              c.pkt <- Interp.set_pkt_field c.pkt f (ge c);
+              kk c
+        | Row_source l -> (
+            match field_slot l f with
+            | -1 ->
+                (* no slot: no [Field f] read staged, so the write is dead *)
+                kk
+            | s ->
+                row_writes := true;
+                let ge = cexpr e in
+                (* what [Pkt.field_int (Pkt.set_field p f v) f] reads back *)
+                let m =
+                  match f with
+                  | Packet.Field.Ip_proto | Packet.Field.Inner_ip_proto -> 0xff
+                  | _ -> -1
+                in
+                fun c ->
+                  Array.unsafe_set c.row (c.off + s) (ge c land m);
+                  kk c))
     | Forward e ->
+        (match src with
+        | Pkt_source -> ()
+        | Row_source _ -> invalid_arg "Compile.stage_rows: a row program cannot forward");
         let ge = cexpr e in
         let devices = nf.devices in
         fun c ->
@@ -566,20 +664,23 @@ let stage (nf : Ast.t) info =
     Hashtbl.iter (fun name i -> a.(i) <- name) tbl;
     a
   in
-  {
-    entry;
-    n_ints = reg.r_n_vars;
-    rec_lens = Array.of_list (List.rev reg.r_rec_lens);
-    map_names = names reg.r_maps;
-    vec_names = names reg.r_vecs;
-    chain_names = names reg.r_chains;
-    sketch_names = names reg.r_sketches;
-    scratch_sizes = Array.of_list (List.rev reg.r_scratch);
-  }
+  ( {
+      entry;
+      n_ints = reg.r_n_vars;
+      rec_lens = Array.of_list (List.rev reg.r_rec_lens);
+      map_names = names reg.r_maps;
+      vec_names = names reg.r_vecs;
+      chain_names = names reg.r_chains;
+      sketch_names = names reg.r_sketches;
+      scratch_sizes = Array.of_list (List.rev reg.r_scratch);
+    },
+    !row_writes )
+
+let stage nf info = fst (stage_source Pkt_source nf info)
 
 let dummy_pkt = Packet.Pkt.make ~ip_src:0 ~ip_dst:0 ~src_port:0 ~dst_port:0 ()
 
-let bind t instance =
+let bind_frame t instance ~row_copy =
   let resolve kind name f =
     match Instance.find instance name with
     | o -> (
@@ -615,10 +716,15 @@ let bind t instance =
       key_hi = 0;
       key_lo = 0;
       pkt = dummy_pkt;
+      row = row_copy;
+      off = 0;
+      row_copy;
       on_op = nop_op;
     }
   in
   { b_ctx; b_entry = t.entry }
+
+let bind t instance = bind_frame t instance ~row_copy:[||]
 
 let process ?(on_op = nop_op) b pkt =
   let c = b.b_ctx in
@@ -627,6 +733,42 @@ let process ?(on_op = nop_op) b pkt =
   let r = b.b_entry c in
   c.on_op <- nop_op;
   r
+
+(* Row programs. *)
+
+type row_program = { rp : t; rp_stride : int; rp_copies : bool }
+type row_bound = { rb : bound; rb_stride : int; rb_copies : bool }
+
+let stage_rows nf info (l : row_layout) =
+  if l.stride < 0 then invalid_arg "Compile.stage_rows: negative stride";
+  let in_row s = s < l.stride in
+  if
+    Array.length l.fields > l.stride
+    || not (in_row l.port_slot && in_row l.len_slot && in_row l.ts_slot)
+  then invalid_arg "Compile.stage_rows: a slot lies outside the stride";
+  let rp, rp_copies = stage_source (Row_source l) nf info in
+  { rp; rp_stride = l.stride; rp_copies }
+
+let bind_rows p instance =
+  let row_copy = if p.rp_copies then Array.make p.rp_stride 0 else [||] in
+  { rb = bind_frame p.rp instance ~row_copy; rb_stride = p.rp_stride; rb_copies = p.rp_copies }
+
+(* The offset is checked once here; every staged read is then an
+   unchecked load at [off + slot] with [slot < stride]. *)
+let run_row r row off =
+  if off < 0 || off > Array.length row - r.rb_stride then
+    invalid_arg
+      (Printf.sprintf "Compile.run_row: offset %d out of range (stride %d, row of %d)" off
+         r.rb_stride (Array.length row));
+  let c = r.rb.b_ctx in
+  if r.rb_copies then
+    (* [c.row] is [row_copy] and [c.off] 0 for the bound's lifetime *)
+    Array.blit row off c.row_copy 0 r.rb_stride
+  else begin
+    c.row <- row;
+    c.off <- off
+  end;
+  ignore (r.rb.b_entry c)
 
 (* Compiled-vs-interpreter dispatch, so every execution site (pool
    workers, the deterministic runtime, the simulator) selects the path

@@ -44,6 +44,51 @@ val process :
     keys all pack, the only per-packet allocation is the [Fwd] verdict
     (plus one string per wide-key operation otherwise). *)
 
+(** {1 Row programs}
+
+    The same staging over a second field source: a flat [int] row, one
+    slot per header field plus optional in-port, frame-length and
+    timestamp slots — the layout of an SCR update digest.  Each [Field],
+    [In_port], [Pkt_len] and [Now] read (chain operations' timestamps
+    included) compiles to one [row.(off + slot)] load, so running a row
+    builds no packet.  A [Set_field] writes its slot in a per-bound
+    scratch copy of the segment, masked the way
+    [Pkt.field_int (Pkt.set_field p f v) f] reads it back (protocol
+    fields to 8 bits); only programs with such a write stage the copy,
+    and the caller's row is never written.  A row program is its own
+    type: it cannot be run on a {!Packet.Pkt.t}. *)
+
+type row_layout = {
+  stride : int;  (** slots per row segment *)
+  fields : Packet.Field.t array;
+      (** slot [j] carries header field [fields.(j)]; the last slot of a
+          repeated field is the one read *)
+  port_slot : int;  (** in-port slot, or [-1] when absent *)
+  len_slot : int;  (** frame-length slot, or [-1] *)
+  ts_slot : int;  (** timestamp slot, or [-1] *)
+}
+
+type row_program
+type row_bound
+
+val stage_rows : Ast.t -> Check.info -> row_layout -> row_program
+(** Stage a program over a row layout.  Raises [Invalid_argument] when
+    a slot lies outside the stride, when the program reads a field (or
+    the in-port, length or timestamp) the layout has no slot for, or
+    when it can [Forward] (a row has no packet to emit).  A [Set_field]
+    to a field with no slot is dropped: no staged read observes it. *)
+
+val bind_rows : row_program -> Instance.t -> row_bound
+(** As {!bind}; single-threaded, one per replica. *)
+
+val run_row : row_bound -> int array -> int -> unit
+(** [run_row b row off] runs the program on the segment
+    [row.(off) .. row.(off + stride - 1)] for its state effects; the
+    verdict is discarded and no op events are emitted.  Raises
+    [Invalid_argument] when the segment does not fit in [row]; that
+    single check covers every read.  Allocates only what the program's
+    state operations do. *)
+
 (** {1 Execution-path dispatch}
 
     Every execution site (pool workers, the deterministic runtime, the

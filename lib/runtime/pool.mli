@@ -36,7 +36,8 @@
     and produces the verdicts; every other core replays the batch's
     {e update digest} — header fields captured from the packets at
     dispatch time ({!Maestro.Scrspec}) — by executing the NF's
-    write-slice against its replica ({!Scr}).  No core ever waits for
+    write-slice against its replica straight from the digest's [int]
+    rows, building no packet ({!Scr}).  No core ever waits for
     another and nothing is shared, so write-heavy NFs scale without a
     lock at the price of replicated memory and replay cycles.  Digest
     batches are never dropped (backpressure is forced to [Block] for

@@ -1,21 +1,27 @@
 (* State-compute replication, dynamic half (the static analysis lives in
    {!Maestro.Scrspec}).  A prepared program stages the NF's write-slice
-   once; each core binds it to its own full replica and replays foreign
-   packets from their update digests, reconstructed as pseudo-packets.
+   once, over the digest layout itself; each core binds it to its own
+   full replica and replays foreign packets straight from their digest
+   rows, building no packet.
 
    Digests travel as flat [int] segments — one slot per header field the
    slice reads, plus optional port / frame-length / timestamp slots — so
    a batch's digest is a single [int array] pushed over the existing SPSC
    rings with no per-packet boxing. *)
 
+(* How replay runs: the slice compiled over the digest rows, or — the
+   [~compiled:false] oracle — the interpreter on the pseudo-packet
+   {!decode} rebuilds. *)
+type replay = Rows of Dsl.Compile.row_program | Decoded of Dsl.Check.info
+
 (* The digest layout is staged once, in [prepare]: [fields.(j)] is the
-   header field in slot [j], and every [Pkt.t] / [encap] field the
-   pseudo-packet is rebuilt from has its slot index ([-1]: not in the
-   digest, use the default).  Encode and decode then read slots straight
-   through — no field-list walk, no closure, no [ref] per packet. *)
+   header field in slot [j], and every [Pkt.t] / [encap] field {!decode}
+   rebuilds has its slot index ([-1]: not in the digest, use the
+   default).  Encode and decode then read slots straight through — no
+   field-list walk, no closure, no [ref] per packet. *)
 type t = {
   spec : Maestro.Scrspec.t;
-  staged : Dsl.Compile.staged;
+  replay : replay;
   ints_per_pkt : int;
   fields : Packet.Field.t array;
   s_port : int;
@@ -61,6 +67,7 @@ let prepare ?compiled (spec : Maestro.Scrspec.t) =
     Array.iteri (fun j g -> if g = f then s := j) fields;
     !s
   in
+  let compiled = match compiled with Some b -> b | None -> Dsl.Compile.default_enabled () in
   (* port / length / timestamp follow the header fields, in that order *)
   let next = ref nfields in
   let extra needed =
@@ -81,10 +88,22 @@ let prepare ?compiled (spec : Maestro.Scrspec.t) =
   and s_in_proto = slot_of F.Inner_ip_proto
   and s_in_src_port = slot_of F.Inner_src_port
   and s_in_dst_port = slot_of F.Inner_dst_port in
+  let stride = !next in
   {
     spec;
-    staged = Dsl.Compile.stage_runner ?compiled slice info;
-    ints_per_pkt = !next;
+    replay =
+      (if compiled then
+         Rows
+           (Dsl.Compile.stage_rows slice info
+              {
+                Dsl.Compile.stride;
+                fields;
+                port_slot = s_port;
+                len_slot = s_size;
+                ts_slot = s_ts_ns;
+              })
+       else Decoded info);
+    ints_per_pkt = stride;
     fields;
     s_port;
     s_eth_src = slot_of F.Eth_src;
@@ -126,19 +145,16 @@ let encode_batch t pkts ~lo ~len =
   done;
   buf
 
-(* --- replay ------------------------------------------------------------------ *)
-
-type replayer = { prog : t; runner : Dsl.Compile.runner }
-
-let bind prog instance = { prog; runner = Dsl.Compile.bind_runner prog.staged instance }
+(* --- decoding ---------------------------------------------------------------- *)
 
 (* Slot [s] of the segment at [off], or [default] when the field is not
    in the digest.  Top-level and closed, so a read is a direct call. *)
 let slot buf off s default = if s < 0 then default else buf.(off + s)
 
-(* Reconstruct a pseudo-packet from one digest segment.  Fields absent
-   from the digest are never read by the slice, so their defaults are
-   irrelevant to the replayed state trajectory. *)
+(* Rebuild a pseudo-packet from one digest segment, for the interpreter
+   oracle and for callers that must re-hash a logged packet.  Fields
+   absent from the digest are never read by the slice, so their defaults
+   are irrelevant to the replayed state trajectory. *)
 let decode t buf off =
   {
     Packet.Pkt.port = slot buf off t.s_port 0;
@@ -167,11 +183,25 @@ let decode t buf off =
     ts_ns = slot buf off t.s_ts_ns 0;
   }
 
-let replay r pkt = ignore (Dsl.Compile.run r.runner pkt)
-let apply r buf off = replay r (decode r.prog buf off)
+(* --- replay ------------------------------------------------------------------ *)
+
+type replayer =
+  | R_rows of t * Dsl.Compile.row_bound
+  | R_decoded of t * Dsl.Check.info * Dsl.Instance.t
+
+let bind prog instance =
+  match prog.replay with
+  | Rows p -> R_rows (prog, Dsl.Compile.bind_rows p instance)
+  | Decoded info -> R_decoded (prog, info, instance)
+
+let apply r buf off =
+  match r with
+  | R_rows (_, b) -> Dsl.Compile.run_row b buf off
+  | R_decoded (t, info, inst) ->
+      ignore (Dsl.Interp.process t.spec.Maestro.Scrspec.slice info inst (decode t buf off))
 
 let apply_batch r buf ~npkts =
-  let stride = r.prog.ints_per_pkt in
+  let stride = match r with R_rows (t, _) | R_decoded (t, _, _) -> t.ints_per_pkt in
   for j = 0 to npkts - 1 do
     apply r buf (j * stride)
   done

@@ -16,9 +16,11 @@
     The static analysis — which header fields the digest must carry,
     how many bytes that costs per packet, and whether the NF is
     admissible at all — lives in {!Maestro.Scrspec}; this module stages
-    the write-slice once ({!prepare}), binds it per replica ({!bind}),
-    and moves digests as flat [int] arrays sized by {!ints_per_pkt}, so
-    a whole batch's digest is one array pushed over an SPSC ring. *)
+    the write-slice once ({!prepare}) over the digest layout itself,
+    binds it per replica ({!bind}), and moves digests as flat [int]
+    arrays sized by {!ints_per_pkt}, so a whole batch's digest is one
+    array pushed over an SPSC ring and is replayed straight from its
+    rows ({!apply}), with no packet built per replayed packet. *)
 
 type t
 (** A prepared SCR program: the staged write-slice plus its digest
@@ -27,11 +29,13 @@ type t
 val prepare : ?compiled:bool -> Maestro.Scrspec.t -> t
 (** Stage the write-slice of an admissible spec ({!Maestro.Scrspec.admissible})
     and its digest layout: the digest fields as an array, and for every
-    pseudo-packet field the slot that carries it (or none), so the
-    per-packet {!encode} and {!decode} never walk the field list.
-    [compiled] selects the compiled or interpreted runner, defaulting to
-    {!Dsl.Compile.set_default}.  Raises [Invalid_argument] if the slice
-    fails {!Dsl.Check.check} (impossible for a spec derived from a
+    packet field the slot that carries it (or none), so the per-packet
+    {!encode} and {!decode} never walk the field list.  [compiled]
+    (default {!Dsl.Compile.set_default}) stages the slice as a
+    {!Dsl.Compile.row_program} over that layout; [~compiled:false]
+    keeps the reference replay instead: {!decode} each segment and run
+    the slice through {!Dsl.Interp}.  Raises [Invalid_argument] if the
+    slice fails {!Dsl.Check.check} (impossible for a spec derived from a
     checked NF). *)
 
 val spec : t -> Maestro.Scrspec.t
@@ -57,16 +61,16 @@ val encode_batch : t -> Packet.Pkt.t array -> lo:int -> len:int -> int array
     only allocation. *)
 
 val decode : t -> int array -> int -> Packet.Pkt.t
-(** [decode t buf off] reconstructs the pseudo-packet of the digest
-    segment at [off] — the packet {!apply} replays the write-slice with.
-    Fields absent from the digest get defaults the slice never reads.
-    The cluster tier uses this to ownership-filter a retained digest log
-    when rebuilding a failed machine's replica: each logged packet is
-    re-hashed with the front-tier key to decide whether the dead machine
-    owned it, and only owned ones are {!replay}ed.  Allocates the
-    pseudo-packet and nothing else: the [Pkt.t] record, its [encap] (and
-    the option around it) only when an inner or tunnel field is in the
-    digest, and a [Pkt.Other] only for a digested non-TCP/UDP protocol. *)
+(** [decode t buf off] rebuilds the pseudo-packet of the digest segment
+    at [off].  Fields absent from the digest get defaults the slice
+    never reads.  Compiled replay does not use it: it is the input of
+    the interpreter oracle ([prepare ~compiled:false]) and of the
+    cluster tier's rebuild, which re-hashes each logged packet with the
+    front-tier key to decide whether the dead machine owned it before
+    {!apply}ing it.  Allocates the pseudo-packet and nothing else: the
+    [Pkt.t] record, its [encap] (and the option around it) only when an
+    inner or tunnel field is in the digest, and a [Pkt.Other] only for a
+    digested non-TCP/UDP protocol. *)
 
 (** {1 Replay} *)
 
@@ -76,15 +80,13 @@ type replayer
 
 val bind : t -> Dsl.Instance.t -> replayer
 
-val replay : replayer -> Packet.Pkt.t -> unit
-(** Run the write-slice against the replica on an already-decoded
-    pseudo-packet.  The slice's verdict is always [Drop] and is
-    discarded — replay mutates state, it does not emit packets or op
-    events.  Allocates only what the slice's state operations do. *)
-
 val apply : replayer -> int array -> int -> unit
-(** Replay one digest segment at the given offset: [replay] of
-    {!decode}, so it allocates one pseudo-packet beyond {!replay}. *)
+(** Replay the digest segment at the given offset against the replica.
+    The slice's verdict is always [Drop] and is discarded — replay
+    mutates state, it does not emit packets or op events, and it never
+    writes [buf].  Compiled, it reads the segment's slots directly and
+    allocates only what the slice's state operations do; raises
+    [Invalid_argument] when the segment does not fit in [buf]. *)
 
 val apply_batch : replayer -> int array -> npkts:int -> unit
 (** Replay a whole batch digest in order: {!apply} per packet, nothing

@@ -252,6 +252,69 @@ let prop_differential =
         (hostile_trace ~seed 500);
       true)
 
+(* Each header field's staged read equals [Pkt.field_int] — on plain
+   TCP/UDP packets, on GRE and VXLAN tunnels, on a packet without an
+   [encap] (inner fields read 0) and on unnormalized [Other] protocols
+   (read back masked to 8 bits).  The NF stores the field under a
+   constant key, so the map holds exactly the value read. *)
+let test_field_reads () =
+  let base = Packet.Pkt.make ~ip_src:0x0a000001 ~ip_dst:0x0a000002 ~src_port:1234 ~dst_port:80 in
+  let encap kind in_proto =
+    {
+      Packet.Pkt.default_encap with
+      kind;
+      tunnel_id = 0xabcdef;
+      in_ip_src = 0xc0a80001;
+      in_ip_dst = 0xc0a80002;
+      in_proto;
+      in_src_port = 5353;
+      in_dst_port = 53;
+    }
+  in
+  let pkts =
+    [
+      base ~port:1 ~size:128 ~ts_ns:99 ();
+      base ~proto:Packet.Pkt.Udp ();
+      base ~proto:(Packet.Pkt.Other 47) ~encap:(encap Packet.Pkt.Gre (Packet.Pkt.Other 300)) ();
+      base ~proto:(Packet.Pkt.Other 4097) ();
+      base ~proto:Packet.Pkt.Udp ~encap:(encap Packet.Pkt.Vxlan Packet.Pkt.Udp) ();
+    ]
+  in
+  List.iter
+    (fun f ->
+      let nf =
+        {
+          Dsl.Ast.name = "read_" ^ Packet.Field.to_string f;
+          devices = 2;
+          state = [ Dsl.Ast.Decl_map { name = "m"; capacity = 4; init = [] } ];
+          process =
+            Dsl.Ast.Map_put
+              {
+                obj = "m";
+                key = [ Dsl.Ast.const ~width:8 0 ];
+                value = Dsl.Ast.Field f;
+                ok = "ok";
+                k = Dsl.Ast.Drop;
+              };
+        }
+      in
+      let bound = Dsl.Compile.bind (Dsl.Compile.stage nf (Dsl.Check.check_exn nf)) in
+      List.iter
+        (fun p ->
+          let inst = Dsl.Instance.create nf in
+          ignore (Dsl.Compile.process (bound inst) p);
+          let read =
+            match Dsl.Instance.find inst "m" with
+            | Dsl.Instance.O_map m -> List.map snd (State.Map_s.entries m)
+            | _ -> []
+          in
+          Alcotest.(check (list int))
+            (Format.asprintf "%s of %a" (Packet.Field.to_string f) Packet.Pkt.pp p)
+            [ Packet.Pkt.field_int p f ]
+            read)
+        pkts)
+    Packet.Field.all
+
 let suite =
   [
     Alcotest.test_case "registry NFs: verdicts + op streams" `Slow test_registry_nfs;
@@ -266,4 +329,5 @@ let suite =
     Alcotest.test_case "chain expiry purges pair-keyed flows" `Quick
       test_expire_purges_pair_keys;
     QCheck_alcotest.to_alcotest prop_differential;
+    Alcotest.test_case "staged field reads equal Pkt.field_int" `Quick test_field_reads;
   ]
